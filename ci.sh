@@ -18,6 +18,7 @@ go test -run '^FuzzParse$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/isps
 go test -run '^FuzzParseStmt$' -fuzz '^FuzzParseStmt$' -fuzztime 10s ./internal/isps
 go test -run '^FuzzBindingJSON$' -fuzz '^FuzzBindingJSON$' -fuzztime 10s ./internal/core
 go test -run '^FuzzSynthGadget$' -fuzz '^FuzzSynthGadget$' -fuzztime 10s ./internal/synth
+go test -run '^FuzzInterp$' -fuzz '^FuzzInterp$' -fuzztime 10s ./internal/interp
 
 # Bench stage: the PR 3 tracked benchmarks (the eleven scripted analyses
 # and the auto-search retry ladder), recorded as BENCH_PR3.json (name ->

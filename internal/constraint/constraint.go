@@ -13,6 +13,7 @@ package constraint
 
 import (
 	"fmt"
+	"sync"
 
 	"extra/internal/interp"
 	"extra/internal/isps"
@@ -150,14 +151,75 @@ func (c Constraint) Satisfied(env map[string]uint64) (bool, error) {
 
 // EvalPredicate evaluates a boolean expression in description syntax
 // against operand values. It works by wrapping the expression in a
-// one-statement description and running the interpreter on it.
+// one-statement description and running the interpreter on it; the
+// wrapped description is built once per predicate text (see predicateFor).
 func EvalPredicate(pred string, env map[string]uint64) (bool, error) {
-	names, err := predicateOperands(pred)
+	p := predicateFor(pred)
+	if p.namesErr != nil {
+		return false, p.namesErr
+	}
+	vals := make([]uint64, len(p.names))
+	for i, n := range p.names {
+		v, ok := env[n]
+		if !ok {
+			return false, fmt.Errorf("constraint: no value for operand %q in predicate %q", n, pred)
+		}
+		vals[i] = v
+	}
+	if p.descErr != nil {
+		return false, p.descErr
+	}
+	res, err := interp.Run(p.desc, vals, interp.NewState(), 10000)
 	if err != nil {
 		return false, err
 	}
+	return res.Outputs[0] != 0, nil
+}
+
+// predicate is a predicate text parsed for evaluation: the operand names
+// it mentions and the description that inputs them and outputs its value,
+// or the errors that stop either from being built.
+type predicate struct {
+	names    []string
+	namesErr error
+	desc     *isps.Description
+	descErr  error
+}
+
+// The predicate cache keys parsed predicates by their text. Binding JSON
+// from users carries predicate text, so the cache is bounded without a
+// knob: it is dropped and restarted when it reaches predCacheCap entries.
+const predCacheCap = 1024
+
+var predCache struct {
+	mu sync.Mutex
+	m  map[string]*predicate
+}
+
+// predicateFor returns pred parsed, parsing it on a cache miss.
+func predicateFor(pred string) *predicate {
+	predCache.mu.Lock()
+	p := predCache.m[pred]
+	predCache.mu.Unlock()
+	if p != nil {
+		return p
+	}
+	p = parsePredicate(pred)
+	predCache.mu.Lock()
+	defer predCache.mu.Unlock()
+	if predCache.m == nil || len(predCache.m) >= predCacheCap {
+		predCache.m = make(map[string]*predicate)
+	}
+	predCache.m[pred] = p
+	return p
+}
+
+func parsePredicate(pred string) *predicate {
+	names, err := predicateOperands(pred)
+	if err != nil {
+		return &predicate{namesErr: err}
+	}
 	var decls, inputs string
-	vals := make([]uint64, 0, len(names))
 	for i, n := range names {
 		if i > 0 {
 			decls += ", "
@@ -165,11 +227,6 @@ func EvalPredicate(pred string, env map[string]uint64) (bool, error) {
 		}
 		decls += n + ": integer"
 		inputs += n
-		v, ok := env[n]
-		if !ok {
-			return false, fmt.Errorf("constraint: no value for operand %q in predicate %q", n, pred)
-		}
-		vals = append(vals, v)
 	}
 	src := "pred.operation := begin\n** P **\n" + decls + ",\npred.execute := begin\n"
 	if len(names) > 0 {
@@ -178,13 +235,11 @@ func EvalPredicate(pred string, env map[string]uint64) (bool, error) {
 	src += "output (" + pred + ");\nend\nend"
 	d, err := isps.Parse(src)
 	if err != nil {
-		return false, fmt.Errorf("constraint: bad predicate %q: %v", pred, err)
+		return &predicate{names: names, descErr: fmt.Errorf("constraint: bad predicate %q: %v", pred, err)}
 	}
-	res, err := interp.Run(d, vals, interp.NewState(), 10000)
-	if err != nil {
-		return false, err
-	}
-	return res.Outputs[0] != 0, nil
+	// Interned, the description's digest (the interpreter's program
+	// cache key) is a field read.
+	return &predicate{names: names, desc: isps.InternDesc(d)}
 }
 
 // predicateOperands parses the predicate and returns the operand names it

@@ -1,8 +1,11 @@
 package constraint
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"extra/internal/obs"
 )
 
 func TestValueConstraint(t *testing.T) {
@@ -116,4 +119,80 @@ func TestKindString(t *testing.T) {
 			t.Errorf("%v.String() = %q", int(k), k.String())
 		}
 	}
+}
+
+// TestPredicateCacheBounded evaluates more distinct predicates than the
+// predicate cache holds: the cache must stay within its bound, every
+// evaluation must be right, and each evaluation must still be one
+// interpreter run.
+func TestPredicateCacheBounded(t *testing.T) {
+	n := predCacheCap + predCacheCap/4
+	runs := func() uint64 { return obs.Default().Counter("interp.run", "pred.operation") }
+	before := runs()
+	for i := 0; i < n; i++ {
+		pred := fmt.Sprintf("a + %d = b", i)
+		for _, b := range []uint64{uint64(10 + i), uint64(11 + i)} {
+			got, err := EvalPredicate(pred, map[string]uint64{"a": 10, "b": b})
+			if err != nil {
+				t.Fatalf("%s: %v", pred, err)
+			}
+			if want := b == uint64(10+i); got != want {
+				t.Fatalf("%s with b=%d: %v, want %v", pred, b, got, want)
+			}
+		}
+		if got := cachedPredicates(); got > predCacheCap {
+			t.Fatalf("after %d predicates the cache holds %d, bound %d", i+1, got, predCacheCap)
+		}
+	}
+	if got := runs() - before; got != uint64(2*n) {
+		t.Errorf("%d evaluations made %d interpreter runs", 2*n, got)
+	}
+	// A cached parse error is reported on every evaluation, after the
+	// missing-operand check as before.
+	for i := 0; i < 2; i++ {
+		if _, err := EvalPredicate("a + ((", map[string]uint64{"a": 1}); err == nil {
+			t.Fatal("bad predicate accepted")
+		}
+	}
+	if _, err := EvalPredicate("a < c", map[string]uint64{"a": 1}); err == nil || !strings.Contains(err.Error(), `"c"`) {
+		t.Errorf("missing operand: err = %v", err)
+	}
+}
+
+// TestPredicateCacheConcurrent evaluates shared and per-goroutine
+// predicates from several goroutines at once, for the race detector.
+func TestPredicateCacheConcurrent(t *testing.T) {
+	const workers, each = 4, 40
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		go func(w int) {
+			for i := 0; i < each; i++ {
+				k := 1000*w + i + 1
+				b := uint64(1 + k)
+				for _, pred := range []string{"a < b", fmt.Sprintf("a + %d = b", k)} {
+					got, err := EvalPredicate(pred, map[string]uint64{"a": 1, "b": b})
+					if err == nil && !got {
+						err = fmt.Errorf("%s with a=1, b=%d evaluated false", pred, b)
+					}
+					if err != nil {
+						errs <- err
+						return
+					}
+				}
+			}
+			errs <- nil
+		}(w)
+	}
+	for w := 0; w < workers; w++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// cachedPredicates counts the predicates the cache holds.
+func cachedPredicates() int {
+	predCache.mu.Lock()
+	defer predCache.mu.Unlock()
+	return len(predCache.m)
 }

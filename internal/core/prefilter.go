@@ -2,15 +2,17 @@ package core
 
 import "extra/internal/isps"
 
-// Expression-rewrite prefilters. An expression transformation clones the
-// whole description before it even looks at the target node, so probing one
-// at a node where its pattern cannot match costs a full tree copy just to
-// learn nothing. Each gate below is a necessary structural condition of its
-// rewrite's precondition, evaluated on the original (immutable) tree: when
-// the gate says no, the transformation is guaranteed to refuse, so the probe
-// — and its clone — is skipped. When the gate says yes the probe still runs
-// and still decides; semantic conditions (purity, boolean-valuedness) stay
-// with the transformation.
+// Expression-rewrite prefilters. Probing an expression transformation at a
+// node costs a trip through Session.Apply (panic guard, metrics and trace
+// bookkeeping), a path resolution and the rewrite's precondition walk,
+// which formats a refusal error when the pattern does not match; only an
+// accepted rewrite goes on to rebuild the persistent spine from the root
+// down to the node. Each gate below is a necessary structural condition of
+// its rewrite's precondition, evaluated on the original (immutable) tree:
+// when the gate says no, the transformation is guaranteed to refuse, so the
+// probe — bookkeeping, precondition walk and refusal alike — is skipped.
+// When the gate says yes the probe still runs and still decides; semantic
+// conditions (purity, boolean-valuedness) stay with the transformation.
 //
 // Soundness is load-bearing: a gate that rejects a node the transformation
 // would accept silently changes search results. TestExprGatesSound checks

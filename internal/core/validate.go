@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"reflect"
+	"slices"
 
 	"extra/internal/constraint"
 	"extra/internal/interp"
@@ -98,11 +98,9 @@ func ValidateBindingCtx(ctx context.Context, b *Binding, gen InputGen, rounds in
 		if !ok {
 			continue
 		}
-		st1 := interp.NewState()
-		for k, v := range mem {
-			st1.Mem[k] = v
-		}
-		st2 := st1.Clone()
+		// Both runs read the generator's image, which stays read-only;
+		// each writes only its own overlay.
+		st1, st2 := interp.NewStateOver(mem), interp.NewStateOver(mem)
 		r1, err1 := interp.RunCtx(ctx, b.Operator, opIn, st1, 0)
 		r2, err2 := interp.RunCtx(ctx, b.Variant, opIn, st2, 0)
 		if err1 != nil || err2 != nil {
@@ -114,11 +112,11 @@ func ValidateBindingCtx(ctx context.Context, b *Binding, gen InputGen, rounds in
 			}
 			return checked, fmt.Errorf("core: execution failed (operator: %v, variant: %v): %w", err1, err2, cause)
 		}
-		if !reflect.DeepEqual(r1.Outputs, r2.Outputs) {
+		if !slices.Equal(r1.Outputs, r2.Outputs) {
 			return checked, fmt.Errorf("core: binding refuted on inputs %v: operator outputs %v, variant outputs %v",
 				opIn, r1.Outputs, r2.Outputs)
 		}
-		if !sameMem(st1, st2) {
+		if !interp.SameMemory(st1, st2) {
 			return checked, fmt.Errorf("core: binding refuted on inputs %v: final memories differ", opIn)
 		}
 		checked++
@@ -127,18 +125,4 @@ func ValidateBindingCtx(ctx context.Context, b *Binding, gen InputGen, rounds in
 		return 0, fmt.Errorf("core: no generated inputs satisfied the binding's constraints")
 	}
 	return checked, nil
-}
-
-func sameMem(a, b *interp.State) bool {
-	for k, v := range a.Mem {
-		if b.Mem[k] != v {
-			return false
-		}
-	}
-	for k, v := range b.Mem {
-		if a.Mem[k] != v {
-			return false
-		}
-	}
-	return true
 }

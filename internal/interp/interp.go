@@ -17,12 +17,37 @@
 //     result values in order.
 //   - Niladic functions execute their body on the shared register state;
 //     the call's value is the last assignment to the function's own name.
+//   - Every executed statement costs one step; a run that exceeds its step
+//     budget fails with ErrStepLimit.
+//
+// Execution model: a description is compiled once into a program of Go
+// closures (compile.go). Every register, function result and undeclared
+// name the description mentions becomes an integer slot, width masks are
+// folded into the assignments, and loops and exit_when become control
+// codes returned by the compiled statements, so a run does no string
+// hashing and no AST dispatch. Programs are cached by the description's
+// structural isps.Hash digest (cache.go), so an interned description is
+// compiled once per process and its digest is a field read. The cache is
+// sharded and each shard is dropped and restarted when it fills, which
+// bounds it at 1024 programs whatever descriptions callers submit; a
+// dropped program is simply compiled again. A repeat loop with an empty
+// body executes no statements and can never exit, so instead of spinning
+// without charging a step it fails with ErrStepLimit at once.
+//
+// A run loads the state's initial Regs values into slots and writes back
+// only the registers it assigned. Memory reads and writes go straight to
+// the state, whose Mem may overlay a shared read-only image (NewStateOver):
+// two runs of a differential check then start from one image, each writes
+// only its own overlay, and SameMemory compares just the written addresses.
 package interp
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"reflect"
+	"sync"
 	"time"
 
 	"extra/internal/fault/inject"
@@ -32,8 +57,17 @@ import (
 
 // State is a concrete machine state: register values and main memory.
 type State struct {
+	// Regs holds register values by name. A run reads the initial values
+	// of the registers it mentions and writes back those it assigns; with
+	// a nil Regs it starts every register at zero and keeps none.
 	Regs map[string]uint64
-	Mem  map[uint64]byte
+	// Mem holds the memory bytes the state owns. For a state built by
+	// NewStateOver it holds only the bytes written since; every other
+	// address reads through to the shared base image.
+	Mem map[uint64]byte
+	// base is the read-only image under Mem, nil for a self-contained
+	// state.
+	base map[uint64]byte
 }
 
 // NewState returns an empty state.
@@ -41,16 +75,30 @@ func NewState() *State {
 	return &State{Regs: map[string]uint64{}, Mem: map[uint64]byte{}}
 }
 
-// Clone returns a deep copy of the state.
+// NewStateOver returns a state for a run judged only by its outputs and
+// memory, as a differential check judges it. Its Regs map is nil, so
+// registers start at zero and their final values are not kept. Its memory
+// is a copy-on-write overlay on base: reads of addresses the state has not
+// written come from base, writes land in the state's own (initially empty)
+// Mem. base is never modified and may be shared by any number of states,
+// but the caller must not change it while they are in use.
+func NewStateOver(base map[uint64]byte) *State {
+	return &State{Mem: map[uint64]byte{}, base: base}
+}
+
+// Clone returns a copy of the state that shares no mutable storage with
+// it. An overlay's clone shares the read-only base image.
 func (s *State) Clone() *State {
-	c := NewState()
-	for k, v := range s.Regs {
-		c.Regs[k] = v
+	return &State{Regs: maps.Clone(s.Regs), Mem: maps.Clone(s.Mem), base: s.base}
+}
+
+// Load returns the memory byte at addr: the state's own byte if it has
+// one, otherwise the base image's, otherwise 0.
+func (s *State) Load(addr uint64) byte {
+	if b, ok := s.Mem[addr]; ok {
+		return b
 	}
-	for k, v := range s.Mem {
-		c.Mem[k] = v
-	}
-	return c
+	return s.base[addr]
 }
 
 // SetString stores the bytes of str into memory starting at addr.
@@ -64,9 +112,32 @@ func (s *State) SetString(addr uint64, str string) {
 func (s *State) ReadString(addr uint64, n int) string {
 	b := make([]byte, n)
 	for i := range b {
-		b[i] = s.Mem[addr+uint64(i)]
+		b[i] = s.Load(addr + uint64(i))
 	}
 	return string(b)
+}
+
+// SameMemory reports whether a and b read the same byte at every address,
+// a byte present in neither reading 0. When both overlay the same base
+// image only the addresses either state wrote can differ, so only those
+// are compared.
+func SameMemory(a, b *State) bool {
+	if !sameMemKeys(a, b, a.Mem) || !sameMemKeys(a, b, b.Mem) {
+		return false
+	}
+	if reflect.ValueOf(a.base).UnsafePointer() == reflect.ValueOf(b.base).UnsafePointer() {
+		return true
+	}
+	return sameMemKeys(a, b, a.base) && sameMemKeys(a, b, b.base)
+}
+
+func sameMemKeys(a, b *State, keys map[uint64]byte) bool {
+	for k := range keys {
+		if a.Load(k) != b.Load(k) {
+			return false
+		}
+	}
+	return true
 }
 
 // Result is the outcome of executing a description.
@@ -77,14 +148,45 @@ type Result struct {
 	Steps int
 }
 
-// ErrStepLimit is returned when execution exceeds the configured budget,
-// which usually means a loop that cannot terminate on the given input.
-var ErrStepLimit = errors.New("interp: step limit exceeded")
+// Every run failure is typed: it is one of the sentinels below, wraps one
+// of them (classify with errors.Is), is an *AssertError, or wraps the
+// context's error.
+var (
+	// ErrStepLimit is returned when execution exceeds the configured
+	// budget, which usually means a loop that cannot terminate on the
+	// given input.
+	ErrStepLimit = errors.New("interp: step limit exceeded")
+	// ErrCallDepth is returned when function calls nest past the fixed
+	// depth bound. It is wrapped with the offending function's name.
+	ErrCallDepth = errors.New("interp: call depth limit exceeded")
+	// ErrExit reports an exit_when with no enclosing repeat loop. It is
+	// returned as is for one in the routine, and wrapped with the
+	// function's name for one that escapes a function body.
+	ErrExit = errors.New("interp: exit_when outside of repeat loop")
+	// ErrInputExhausted is wrapped by the error of an input statement
+	// that runs out of operand values.
+	ErrInputExhausted = errors.New("interp: input exhausted")
+	// ErrDivideByZero is wrapped by the error of a division by zero.
+	ErrDivideByZero = errors.New("interp: division by zero")
+	// ErrMalformed is wrapped by the errors of descriptions that cannot
+	// execute: no routine, a call of an undeclared function, a bad
+	// assignment target or an unknown operator.
+	ErrMalformed = errors.New("interp: malformed description")
+)
 
-// ErrCallDepth is returned when function calls nest past the fixed depth
-// bound. It is wrapped with the offending function's name, so classify
-// with errors.Is.
-var ErrCallDepth = errors.New("interp: call depth limit exceeded")
+// runError is a failure of a known class: Error gives the specific
+// message, Unwrap the class sentinel.
+type runError struct {
+	msg   string
+	class error
+}
+
+func (e *runError) Error() string { return e.msg }
+func (e *runError) Unwrap() error { return e.class }
+
+func classErr(class error, format string, args ...any) error {
+	return &runError{msg: fmt.Sprintf(format, args...), class: class}
+}
 
 // AssertError reports a violated assert statement.
 type AssertError struct {
@@ -95,25 +197,6 @@ func (e *AssertError) Error() string {
 	return fmt.Sprintf("interp: assertion failed: %s", e.Cond)
 }
 
-type exitSignal struct{}
-
-type execer struct {
-	desc    *isps.Description
-	widths  map[string]int
-	funcs   map[string]*isps.FuncDecl
-	state   *State
-	inputs  []uint64
-	nextIn  int
-	outputs []uint64
-	steps   int
-	limit   int
-	depth   int
-	// ctx, when non-nil, is polled every ctxCheckMask+1 statements so a
-	// deadline or cancellation stops a runaway description promptly
-	// without taxing the per-statement hot path.
-	ctx context.Context
-}
-
 // ctxCheckMask gates the cancellation poll to one check per 1024
 // statements.
 const ctxCheckMask = 1<<10 - 1
@@ -121,11 +204,14 @@ const ctxCheckMask = 1<<10 - 1
 // DefaultStepLimit bounds execution when the caller passes limit <= 0.
 const DefaultStepLimit = 1 << 20
 
+// maxCallDepth bounds function-call nesting.
+const maxCallDepth = 64
+
 // Run executes the description's routine against the given state, consuming
-// inputs at input statements. The state is mutated in place. limit bounds
-// the number of executed statements (<= 0 selects DefaultStepLimit).
-// Runs and executed-statement counts are recorded per description in the
-// process metrics registry.
+// inputs at input statements. The state is mutated in place, also when the
+// run fails. limit bounds the number of executed statements (<= 0 selects
+// DefaultStepLimit). Runs and executed-statement counts are recorded per
+// description in the process metrics registry.
 func Run(d *isps.Description, inputs []uint64, state *State, limit int) (*Result, error) {
 	return RunCtx(nil, d, inputs, state, limit)
 }
@@ -160,257 +246,133 @@ func runDesc(ctx context.Context, d *isps.Description, inputs []uint64, state *S
 			limit = 1
 		}
 	}
-	r := d.Routine()
-	if r == nil {
-		return nil, fmt.Errorf("interp: description %s has no routine", d.Name)
+	p := programFor(d)
+	if p.err != nil {
+		return nil, p.err
 	}
-	ex := &execer{
-		desc:   d,
-		widths: map[string]int{},
-		funcs:  map[string]*isps.FuncDecl{},
-		state:  state,
-		inputs: inputs,
-		limit:  limit,
-		ctx:    ctx,
-	}
-	for _, reg := range d.Regs() {
-		ex.widths[reg.Name] = reg.Width
-	}
-	for _, f := range d.Funcs() {
-		ex.funcs[f.Name] = f
-		ex.widths[f.Name] = f.Width
-	}
-	if err := ex.block(r.Body); err != nil {
-		return nil, err
-	}
-	return &Result{Outputs: ex.outputs, Steps: ex.steps}, nil
-}
-
-func mask(v uint64, width int) uint64 {
-	if width <= 0 || width >= 64 {
-		return v
-	}
-	return v & ((1 << uint(width)) - 1)
-}
-
-func (ex *execer) setReg(name string, v uint64) {
-	ex.state.Regs[name] = mask(v, ex.widths[name])
-}
-
-func (ex *execer) block(b *isps.Block) error {
-	for _, s := range b.Stmts {
-		if err := ex.stmt(s); err != nil {
-			return err
+	m := newMachine(ctx, p, state, inputs, limit)
+	defer m.release()
+	for name, v := range state.Regs {
+		if s, ok := p.slotOf[name]; ok {
+			m.regs[s] = v
 		}
 	}
-	return nil
-}
-
-var errExit = errors.New("interp: exit_when outside of repeat loop")
-
-func (ex *execer) stmt(s isps.Stmt) error {
-	ex.steps++
-	if ex.steps > ex.limit {
-		return ErrStepLimit
-	}
-	if ex.ctx != nil && ex.steps&ctxCheckMask == 0 {
-		if err := ex.ctx.Err(); err != nil {
-			return fmt.Errorf("interp: %s interrupted after %d steps: %w", ex.desc.Name, ex.steps, err)
-		}
-	}
-	switch st := s.(type) {
-	case *isps.AssignStmt:
-		v, err := ex.expr(st.RHS)
-		if err != nil {
-			return err
-		}
-		switch lhs := st.LHS.(type) {
-		case *isps.Ident:
-			ex.setReg(lhs.Name, v)
-		case *isps.Mem:
-			addr, err := ex.expr(lhs.Addr)
-			if err != nil {
-				return err
+	c := m.exec(p.body)
+	if state.Regs != nil {
+		for s, w := range m.dirty {
+			if w {
+				state.Regs[p.names[s]] = m.regs[s]
 			}
-			ex.state.Mem[addr] = byte(v)
-		default:
-			return fmt.Errorf("interp: bad assignment target %T", st.LHS)
 		}
-		return nil
-	case *isps.IfStmt:
-		c, err := ex.expr(st.Cond)
-		if err != nil {
-			return err
-		}
-		if c != 0 {
-			return ex.block(st.Then)
-		}
-		return ex.block(st.Else)
-	case *isps.RepeatStmt:
-		for {
-			err := ex.block(st.Body)
-			if err == nil {
-				continue
-			}
-			var sig *exitWrap
-			if errors.As(err, &sig) {
-				return nil
-			}
-			return err
-		}
-	case *isps.ExitWhenStmt:
-		c, err := ex.expr(st.Cond)
-		if err != nil {
-			return err
-		}
-		if c != 0 {
-			return &exitWrap{}
-		}
-		return nil
-	case *isps.AssertStmt:
-		c, err := ex.expr(st.Cond)
-		if err != nil {
-			return err
-		}
-		if c == 0 {
-			return &AssertError{Cond: isps.ExprString(st.Cond)}
-		}
-		return nil
-	case *isps.InputStmt:
-		for _, name := range st.Names {
-			if ex.nextIn >= len(ex.inputs) {
-				return fmt.Errorf("interp: %s: input(%s) exhausted the %d supplied operand values",
-					ex.desc.Name, name, len(ex.inputs))
-			}
-			ex.setReg(name, ex.inputs[ex.nextIn])
-			ex.nextIn++
-		}
-		return nil
-	case *isps.OutputStmt:
-		for _, e := range st.Exprs {
-			v, err := ex.expr(e)
-			if err != nil {
-				return err
-			}
-			ex.outputs = append(ex.outputs, v)
-		}
-		return nil
 	}
-	return fmt.Errorf("interp: unknown statement type %T", s)
+	switch c {
+	case ctlErr:
+		return nil, m.err
+	case ctlExit:
+		return nil, ErrExit
+	}
+	return &Result{Outputs: m.outputs, Steps: m.steps}, nil
 }
 
-// exitWrap carries the exit_when control transfer up to the innermost
-// repeat. It implements error so it can flow through the ordinary return
-// path without a parallel plumbing mechanism.
-type exitWrap struct{}
+// machinePool recycles machines, and with them their register slices.
+var machinePool = sync.Pool{New: func() any { return new(machine) }}
 
-func (*exitWrap) Error() string { return errExit.Error() }
-
-func truth(v uint64) uint64 {
-	if v != 0 {
-		return 1
+func newMachine(ctx context.Context, p *program, state *State, inputs []uint64, limit int) *machine {
+	m := machinePool.Get().(*machine)
+	n := len(p.names)
+	if cap(m.regs) < n {
+		m.regs, m.dirty = make([]uint64, n), make([]bool, n)
 	}
-	return 0
+	regs, dirty := m.regs[:n], m.dirty[:n]
+	clear(regs)
+	clear(dirty)
+	*m = machine{prog: p, regs: regs, dirty: dirty, mem: state.Mem, base: state.base,
+		inputs: inputs, limit: limit, ctx: ctx}
+	return m
 }
 
-func (ex *execer) expr(e isps.Expr) (uint64, error) {
-	switch x := e.(type) {
-	case *isps.Num:
-		return uint64(x.Val), nil
-	case *isps.Ident:
-		return ex.state.Regs[x.Name], nil
-	case *isps.Mem:
-		addr, err := ex.expr(x.Addr)
-		if err != nil {
-			return 0, err
+// release returns m to the pool, keeping only its register slices.
+func (m *machine) release() {
+	*m = machine{regs: m.regs, dirty: m.dirty}
+	machinePool.Put(m)
+}
+
+// machine is the mutable state of one run of a compiled program.
+type machine struct {
+	prog  *program
+	regs  []uint64
+	dirty []bool // dirty[s]: the run assigned slot s
+	// mem is the state's own memory; base the read-only image under it.
+	mem     map[uint64]byte
+	base    map[uint64]byte
+	inputs  []uint64
+	nextIn  int
+	outputs []uint64
+	steps   int
+	limit   int
+	depth   int
+	// ctx, when non-nil, is polled every ctxCheckMask+1 statements so a
+	// deadline or cancellation stops a runaway description promptly
+	// without taxing the per-statement hot path.
+	ctx context.Context
+	// err is the run's failure. It is set once, at the failing point;
+	// compiled code stops evaluating as soon as it is non-nil.
+	err error
+}
+
+// ctl is the control outcome of a compiled statement.
+type ctl uint8
+
+const (
+	ctlNext ctl = iota // fall through to the next statement
+	ctlExit            // an exit_when fired: leave the innermost repeat
+	ctlErr             // the run failed; m.err says why
+)
+
+// exec runs a compiled block, charging one step per statement.
+func (m *machine) exec(b []stmtFn) ctl {
+	for _, s := range b {
+		m.steps++
+		if m.steps > m.limit {
+			m.err = ErrStepLimit
+			return ctlErr
 		}
-		return uint64(ex.state.Mem[addr]), nil
-	case *isps.Call:
-		return ex.call(x.Name)
-	case *isps.Un:
-		v, err := ex.expr(x.X)
-		if err != nil {
-			return 0, err
-		}
-		switch x.Op {
-		case isps.OpNot:
-			return 1 - truth(v), nil
-		case isps.OpNeg:
-			return -v, nil
-		}
-		return 0, fmt.Errorf("interp: unknown unary operator %s", x.Op)
-	case *isps.Bin:
-		a, err := ex.expr(x.X)
-		if err != nil {
-			return 0, err
-		}
-		b, err := ex.expr(x.Y)
-		if err != nil {
-			return 0, err
-		}
-		switch x.Op {
-		case isps.OpAdd:
-			return a + b, nil
-		case isps.OpSub:
-			return a - b, nil
-		case isps.OpMul:
-			return a * b, nil
-		case isps.OpDiv:
-			if b == 0 {
-				return 0, fmt.Errorf("interp: division by zero in %s", ex.desc.Name)
+		if m.ctx != nil && m.steps&ctxCheckMask == 0 {
+			if err := m.ctx.Err(); err != nil {
+				m.err = fmt.Errorf("interp: %s interrupted after %d steps: %w", m.prog.name, m.steps, err)
+				return ctlErr
 			}
-			return a / b, nil
-		case isps.OpEq:
-			return boolVal(a == b), nil
-		case isps.OpNe:
-			return boolVal(a != b), nil
-		case isps.OpLt:
-			return boolVal(a < b), nil
-		case isps.OpGt:
-			return boolVal(a > b), nil
-		case isps.OpLe:
-			return boolVal(a <= b), nil
-		case isps.OpGe:
-			return boolVal(a >= b), nil
-		case isps.OpAnd:
-			return truth(a) & truth(b), nil
-		case isps.OpOr:
-			return truth(a) | truth(b), nil
-		case isps.OpXor:
-			return truth(a) ^ truth(b), nil
 		}
-		return 0, fmt.Errorf("interp: unknown binary operator %s", x.Op)
+		if c := s(m); c != ctlNext {
+			return c
+		}
 	}
-	return 0, fmt.Errorf("interp: unknown expression type %T", e)
+	return ctlNext
 }
 
-func boolVal(b bool) uint64 {
-	if b {
-		return 1
+func (m *machine) load(addr uint64) uint64 {
+	if b, ok := m.mem[addr]; ok {
+		return uint64(b)
 	}
-	return 0
+	return uint64(m.base[addr])
 }
 
-const maxCallDepth = 64
-
-func (ex *execer) call(name string) (uint64, error) {
-	f, ok := ex.funcs[name]
-	if !ok {
-		return 0, fmt.Errorf("interp: call of undeclared function %s()", name)
+// call runs a function body and returns the function's value.
+func (m *machine) call(f *function) uint64 {
+	if m.depth >= maxCallDepth {
+		m.err = f.tooDeep
+		return 0
 	}
-	if ex.depth >= maxCallDepth {
-		return 0, fmt.Errorf("%w at %s()", ErrCallDepth, name)
-	}
-	ex.depth++
-	err := ex.block(f.Body)
-	ex.depth--
-	if err != nil {
-		var sig *exitWrap
-		if errors.As(err, &sig) {
-			return 0, fmt.Errorf("interp: exit_when escaped function %s()", name)
-		}
-		return 0, err
+	m.depth++
+	c := m.exec(f.body)
+	m.depth--
+	switch c {
+	case ctlErr:
+		return 0
+	case ctlExit:
+		m.err = f.escaped
+		return 0
 	}
 	// The function's value is whatever was last assigned to its own name.
-	return ex.state.Regs[name], nil
+	return m.regs[f.slot]
 }
