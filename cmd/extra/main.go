@@ -29,12 +29,10 @@ import (
 	"io"
 	"net"
 	"os"
-	"os/exec"
 	"os/signal"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strconv"
 	"strings"
 	"syscall"
@@ -48,7 +46,6 @@ import (
 	"extra/internal/core"
 	"extra/internal/discover"
 	"extra/internal/fault/inject"
-	"extra/internal/gateway"
 	"extra/internal/gg"
 	"extra/internal/hll"
 	"extra/internal/isps"
@@ -154,8 +151,6 @@ func run(args []string) error {
 		return synthCmd(ctx, traceFile, args[1:])
 	case "serve":
 		return serveCmd(ctx, traceFile, args[1:])
-	case "gateway":
-		return gatewayCmd(ctx, args[1:])
 	case "loadgen":
 		return loadgenCmd(ctx, args[1:])
 	case "binding":
@@ -258,25 +253,8 @@ func usage(w io.Writer) {
                              every request gets a trace ID — minted, or honored
                              from traceparent / X-Request-Id — echoed back as
                              X-Trace-Id and stamped on journal rows and spans)
-  extra gateway             supervise a fleet of serve workers behind one
-                            fault-tolerant shard router
-                            (-workers N spawns N "extra serve" processes,
-                             auto-restarted with backoff; crash-looping
-                             shards are marked dead and their keys rehash;
-                             -worker-ports P1,P2,... | -worker-port-base P
-                             pin worker ports, default ephemeral — duplicate
-                             or colliding plans are rejected at parse;
-                             requests route by rendezvous hash on the
-                             content-addressed cache key, hedge past the
-                             shard's p99 estimate (-hedge-default D), and
-                             fail over on transport errors; responses carry
-                             X-Shard-Id; /metrics merges the whole fleet;
-                             -cache-dir DIR gives each worker DIR/shard-N;
-                             SIGTERM drains every worker, clean exit 0)
   extra loadgen             drive the service with synthetic load, report
-                            latency percentiles split warm/cold/coalesced,
-                            and per-shard percentiles when responses carry
-                            X-Shard-Id (a gateway fleet)
+                            latency percentiles split warm/cold/coalesced
                             (-url URL or in-process server; -concurrency N,
                              -rate R open-loop req/s, -duration D, -requests N,
                              -warm-frac F, -pairs A/B,C/D, -seed N, -json FILE,
@@ -1317,145 +1295,6 @@ func validateListenAddr(addr string) error {
 	return nil
 }
 
-// workerPortPlan resolves the gateway's worker listen addresses: explicit
-// -worker-ports, a -worker-port-base run, or (both absent) nil for
-// ephemeral ports. Duplicate ports and collisions with the gateway's own
-// -addr are usage errors — a colliding plan would otherwise surface as a
-// crash-looping worker, which is a much worse diagnostic.
-func workerPortPlan(gatewayAddr string, workers int, portsCSV string, portBase int) ([]string, error) {
-	if portsCSV != "" && portBase != 0 {
-		return nil, fmt.Errorf("-worker-ports and -worker-port-base are mutually exclusive")
-	}
-	var ports []int
-	switch {
-	case portsCSV != "":
-		for _, f := range strings.Split(portsCSV, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil {
-				return nil, fmt.Errorf("-worker-ports: bad port %q", f)
-			}
-			ports = append(ports, n)
-		}
-		if len(ports) != workers {
-			return nil, fmt.Errorf("-worker-ports names %d ports for %d workers", len(ports), workers)
-		}
-	case portBase != 0:
-		for i := 0; i < workers; i++ {
-			ports = append(ports, portBase+i)
-		}
-	default:
-		return nil, nil // ephemeral: each worker reports its bound port on stdout
-	}
-	_, gport, _ := net.SplitHostPort(gatewayAddr)
-	seen := map[int]bool{}
-	addrs := make([]string, 0, workers)
-	for _, p := range ports {
-		if p <= 0 || p > 65535 {
-			return nil, fmt.Errorf("worker port %d is out of range 1-65535", p)
-		}
-		if seen[p] {
-			return nil, fmt.Errorf("worker port %d assigned twice", p)
-		}
-		seen[p] = true
-		if strconv.Itoa(p) == gport {
-			return nil, fmt.Errorf("worker port %d collides with the gateway's -addr %s", p, gatewayAddr)
-		}
-		addrs = append(addrs, "127.0.0.1:"+strconv.Itoa(p))
-	}
-	return addrs, nil
-}
-
-// gatewayCmd runs the fault-tolerant shard gateway: it spawns and
-// supervises -workers `extra serve` processes (re-exec'ing this binary),
-// routes /analyze and /batch rows to shards by rendezvous hashing on the
-// content-addressed cache key, health-probes every worker, hedges slow
-// requests, fails over around crashed workers, and serves the fleet's
-// merged /metrics. SIGINT/SIGTERM drain the whole fleet: readiness flips,
-// every worker SIGTERMs and drains, and the gateway exits 0 on a clean
-// drain.
-func gatewayCmd(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("gateway", flag.ContinueOnError)
-	addr := fs.String("addr", "127.0.0.1:8373", "gateway listen `address` (host:port; port 0 picks a free port)")
-	workers := fs.Int("workers", 3, "supervised `extra serve` worker processes")
-	workerPorts := fs.String("worker-ports", "", "comma-separated worker `ports` (one per worker; empty = ephemeral)")
-	workerPortBase := fs.Int("worker-port-base", 0, "workers listen on `base`, base+1, ... (0 = ephemeral)")
-	validate := fs.Int("validate", 0, "differential-validation inputs per served analysis (0 = off); also keys the routing hash")
-	queue := fs.Int("queue", 16, "per-worker admission queue depth")
-	jobs := fs.Int("jobs", 0, "per-worker concurrent analyses (0 = GOMAXPROCS)")
-	cacheDir := fs.String("cache-dir", "", "per-worker result caches under `directory`/shard-N")
-	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "per-worker grace for in-flight work on shutdown")
-	reqTimeout := fs.Duration("request-timeout", time.Minute, "per-worker default analysis deadline")
-	probeInterval := fs.Duration("probe-interval", 250*time.Millisecond, "worker /readyz poll cadence")
-	hedgeDefault := fs.Duration("hedge-default", 250*time.Millisecond, "hedge delay before a shard has a latency estimate")
-	crashLoopBurst := fs.Int("crash-loop-burst", 5, "consecutive rapid worker exits before a shard is marked dead")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() > 0 {
-		return fmt.Errorf("gateway takes no positional arguments, got %q", fs.Args())
-	}
-	if *workers < 1 {
-		return fmt.Errorf("gateway: -workers must be >= 1, got %d", *workers)
-	}
-	if err := validateListenAddr(*addr); err != nil {
-		return fmt.Errorf("gateway: -addr: %v", err)
-	}
-	workerAddrs, err := workerPortPlan(*addr, *workers, *workerPorts, *workerPortBase)
-	if err != nil {
-		return fmt.Errorf("gateway: %v", err)
-	}
-	exe, err := os.Executable()
-	if err != nil {
-		return fmt.Errorf("gateway: cannot locate own binary to spawn workers: %v", err)
-	}
-	workerCommand := func(id int) *exec.Cmd {
-		waddr := "127.0.0.1:0"
-		if workerAddrs != nil {
-			waddr = workerAddrs[id]
-		}
-		wargs := []string{
-			"serve", "-addr", waddr,
-			"-queue", strconv.Itoa(*queue),
-			"-jobs", strconv.Itoa(*jobs),
-			"-validate", strconv.Itoa(*validate),
-			"-drain-timeout", drainTimeout.String(),
-			"-request-timeout", reqTimeout.String(),
-		}
-		if *cacheDir != "" {
-			wargs = append(wargs, "-cache-dir", filepath.Join(*cacheDir, fmt.Sprintf("shard-%d", id)))
-		}
-		cmd := exec.Command(exe, wargs...)
-		cmd.Stderr = os.Stderr
-		return cmd
-	}
-	m := obs.Default()
-	g, err := gateway.New(gateway.Config{
-		Addr:           *addr,
-		Workers:        *workers,
-		WorkerCommand:  workerCommand,
-		Validate:       *validate,
-		ProbeInterval:  *probeInterval,
-		HedgeDefault:   *hedgeDefault,
-		CrashLoopBurst: *crashLoopBurst,
-		// The fleet drain must outlast each worker's own drain grace.
-		DrainTimeout: *drainTimeout + 5*time.Second,
-		Metrics:      m,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		},
-	})
-	if err != nil {
-		return fmt.Errorf("gateway: %v", err)
-	}
-	err = g.Run(ctx, func(a net.Addr) {
-		fmt.Printf("gateway serving on %s\n", a)
-	})
-	fmt.Printf("gateway drained: %d requests routed, %d hedges, %d failovers, %d restarts\n",
-		m.Total("gateway.requests"), m.Counter("gateway.hedge", "fired"),
-		m.Total("gateway.failover"), m.Total("gateway.restarts"))
-	return err
-}
-
 // loadgenCmd drives a running analysis service (or one booted in-process on
 // a free port) with synthetic load and reports the delivered latency
 // distribution, bucketed warm/cold/coalesced by the X-Cache response
@@ -1582,20 +1421,6 @@ func writeLoadgenReport(rep *loadgen.Report, jsonOut string, bench bool) error {
 		fmt.Fprintf(os.Stderr, "loadgen: warm p50 %v p99 %v; cold p50 %v p99 %v\n",
 			time.Duration(rep.Warm.P50NS), time.Duration(rep.Warm.P99NS),
 			time.Duration(rep.Cold.P50NS), time.Duration(rep.Cold.P99NS))
-	}
-	if len(rep.Shards) > 0 {
-		ids := make([]string, 0, len(rep.Shards))
-		for id := range rep.Shards {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		parts := make([]string, 0, len(ids))
-		for _, id := range ids {
-			s := rep.Shards[id]
-			parts = append(parts, fmt.Sprintf("%s: %d reqs, p50 %v, p99 %v",
-				id, s.Count, time.Duration(s.P50NS), time.Duration(s.P99NS)))
-		}
-		fmt.Fprintf(os.Stderr, "loadgen: per-shard %s\n", strings.Join(parts, "; "))
 	}
 	return nil
 }

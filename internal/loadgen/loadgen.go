@@ -89,14 +89,14 @@ func (c *Config) client() *http.Client {
 // percentiles are exact nearest-rank over the sorted samples — loadgen
 // holds every sample, so there is no estimation error to reason about.
 type LatencyStats struct {
-	Count  int     `json:"count"`
-	MinNS  int64   `json:"min_ns,omitempty"`
-	MaxNS  int64   `json:"max_ns,omitempty"`
-	MeanNS int64   `json:"mean_ns,omitempty"`
-	P50NS  int64   `json:"p50_ns,omitempty"`
-	P90NS  int64   `json:"p90_ns,omitempty"`
-	P99NS  int64   `json:"p99_ns,omitempty"`
-	P999NS int64   `json:"p999_ns,omitempty"`
+	Count  int   `json:"count"`
+	MinNS  int64 `json:"min_ns,omitempty"`
+	MaxNS  int64 `json:"max_ns,omitempty"`
+	MeanNS int64 `json:"mean_ns,omitempty"`
+	P50NS  int64 `json:"p50_ns,omitempty"`
+	P90NS  int64 `json:"p90_ns,omitempty"`
+	P99NS  int64 `json:"p99_ns,omitempty"`
+	P999NS int64 `json:"p999_ns,omitempty"`
 }
 
 // Stats computes LatencyStats over samples (not modified; may be empty).
@@ -131,9 +131,9 @@ func Stats(samples []int64) LatencyStats {
 
 // Report is one run's outcome.
 type Report struct {
-	Mode          string `json:"mode"` // "closed" or "open"
-	Requests      int    `json:"requests"`
-	ElapsedNS     int64  `json:"elapsed_ns"`
+	Mode          string  `json:"mode"` // "closed" or "open"
+	Requests      int     `json:"requests"`
+	ElapsedNS     int64   `json:"elapsed_ns"`
 	ThroughputRPS float64 `json:"throughput_rps"`
 	// Errors counts transport-level failures (no HTTP response at all).
 	Errors int `json:"errors"`
@@ -154,12 +154,6 @@ type Report struct {
 	Warm      LatencyStats `json:"warm"`
 	Cold      LatencyStats `json:"cold"`
 	Coalesced LatencyStats `json:"coalesced"`
-	// Shards buckets successful responses by their X-Shard-Id header —
-	// present when the target is the shard gateway. One slow worker hides
-	// inside an aggregate percentile; it cannot hide inside its own row.
-	// Responses without the header (a single `extra serve`) land nowhere,
-	// and the map is omitted entirely when no response carried one.
-	Shards map[string]LatencyStats `json:"shards,omitempty"`
 	// SLO is the gate verdict when Evaluate was called.
 	SLO *SLOResult `json:"slo,omitempty"`
 }
@@ -252,7 +246,6 @@ type sample struct {
 	ns     int64
 	status int
 	cache  string // X-Cache value, "" when absent
-	shard  string // X-Shard-Id value, "" when absent
 	traced bool
 	err    bool
 }
@@ -436,7 +429,6 @@ func doRequest(ctx context.Context, client *http.Client, base, pair string) samp
 		ns:     time.Since(start).Nanoseconds(),
 		status: resp.StatusCode,
 		cache:  resp.Header.Get("X-Cache"),
-		shard:  resp.Header.Get("X-Shard-Id"),
 		traced: resp.Header.Get("X-Trace-Id") != "",
 	}
 }
@@ -451,7 +443,6 @@ func build(samples []sample, mode string, elapsed time.Duration) *Report {
 		r.ThroughputRPS = float64(len(samples)) / elapsed.Seconds()
 	}
 	var overall, warm, cold, coalesced []int64
-	byShard := map[string][]int64{}
 	for _, s := range samples {
 		if s.err {
 			r.Errors++
@@ -472,9 +463,6 @@ func build(samples []sample, mode string, elapsed time.Duration) *Report {
 			continue
 		}
 		overall = append(overall, s.ns)
-		if s.shard != "" {
-			byShard[s.shard] = append(byShard[s.shard], s.ns)
-		}
 		cacheKey := s.cache
 		if cacheKey == "" {
 			cacheKey = "none"
@@ -493,11 +481,5 @@ func build(samples []sample, mode string, elapsed time.Duration) *Report {
 	r.Warm = Stats(warm)
 	r.Cold = Stats(cold)
 	r.Coalesced = Stats(coalesced)
-	if len(byShard) > 0 {
-		r.Shards = make(map[string]LatencyStats, len(byShard))
-		for id, ns := range byShard {
-			r.Shards[id] = Stats(ns)
-		}
-	}
 	return r
 }

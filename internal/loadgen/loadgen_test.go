@@ -232,67 +232,6 @@ func TestRunConfigErrors(t *testing.T) {
 	}
 }
 
-// TestShardBucketing: responses carrying X-Shard-Id (the gateway) are
-// bucketed per shard; a single-worker target without the header produces
-// no shard map at all.
-func TestShardBucketing(t *testing.T) {
-	shardFor := func(pair string) string {
-		if pair[0] < 'c' {
-			return "0"
-		}
-		return "1"
-	}
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		pair := req.URL.Query().Get("pair")
-		w.Header().Set("X-Cache", "hit")
-		w.Header().Set("X-Shard-Id", shardFor(pair))
-		if shardFor(pair) == "1" {
-			time.Sleep(10 * time.Millisecond) // shard 1 is the slow worker
-		}
-		w.Write([]byte(`{"outcome":"ok"}`))
-	}))
-	defer ts.Close()
-	rep, err := Run(context.Background(), Config{
-		BaseURL: ts.URL, Pairs: []string{"a/x", "b/y", "c/z", "d/w"},
-		Concurrency: 4, Requests: 40, Duration: 30 * time.Second, Seed: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Shards) != 2 {
-		t.Fatalf("bucketed %d shards, want 2: %+v", len(rep.Shards), rep.Shards)
-	}
-	total := 0
-	for id, s := range rep.Shards {
-		if s.Count == 0 {
-			t.Errorf("shard %s has an empty bucket", id)
-		}
-		total += s.Count
-	}
-	if total != rep.Overall.Count {
-		t.Errorf("shard buckets hold %d samples, overall holds %d", total, rep.Overall.Count)
-	}
-	// The per-shard view must expose what the aggregate hides: shard 1's
-	// synthetic 10ms floor.
-	if rep.Shards["1"].P50NS <= rep.Shards["0"].P50NS {
-		t.Errorf("slow shard p50 %d <= fast shard p50 %d", rep.Shards["1"].P50NS, rep.Shards["0"].P50NS)
-	}
-
-	plain := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Write([]byte(`{"outcome":"ok"}`))
-	}))
-	defer plain.Close()
-	rep2, err := Run(context.Background(), Config{
-		BaseURL: plain.URL, Pairs: []string{"a/x"}, Concurrency: 2, Requests: 10, Duration: 30 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.Shards != nil {
-		t.Errorf("shard map %+v from a target that never sent X-Shard-Id", rep2.Shards)
-	}
-}
-
 // TestDeadlineAbortIsNotAnError pins the duration-bound edge: the request
 // in flight when the run's own deadline fires is a harness artifact, not a
 // service failure — it must not surface as a transport error (which would

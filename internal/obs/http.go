@@ -19,7 +19,7 @@ func (r *Registry) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	r.SampleRuntime()
 	w.Header().Set("Cache-Control", "no-store")
 	var err error
-	if WantsProm(req) {
+	if wantsProm(req) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		err = r.WriteProm(w)
 	} else {
@@ -37,11 +37,11 @@ func (r *Registry) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	}
 }
 
-// WantsProm reports whether the request asked for the Prometheus text
+// wantsProm reports whether the request asked for the Prometheus text
 // exposition: an explicit ?format=prom, or an Accept header naming
 // text/plain or OpenMetrics without naming JSON first. The bare */* most
 // HTTP clients send keeps the JSON default.
-func WantsProm(req *http.Request) bool {
+func wantsProm(req *http.Request) bool {
 	switch req.URL.Query().Get("format") {
 	case "prom", "prometheus":
 		return true

@@ -116,9 +116,9 @@ func (b *breaker) idle() bool {
 	return !b.open && !b.probing
 }
 
-// defaultBreakerMax bounds the breaker table when the config does not: far
-// above any real catalog, far below a memory problem.
-const defaultBreakerMax = 1024
+// maxBreakers bounds the breaker table: far above any real catalog,
+// far below a memory problem.
+const maxBreakers = 1024
 
 // breakerSet is the server's keyed breaker table, bounded so arbitrary
 // request keys cannot grow it without limit: past max entries the
@@ -128,7 +128,7 @@ const defaultBreakerMax = 1024
 // are counted under server.breaker_evict{idle,open}.
 type breakerSet struct {
 	mu      sync.Mutex
-	max     int           // capacity; 0 means defaultBreakerMax
+	max     int           // capacity; 0 means maxBreakers
 	metrics *obs.Registry // eviction counters; nil-safe
 	m       map[string]*setEntry
 	head    *setEntry // most recently used
@@ -146,7 +146,7 @@ func (s *breakerSet) cap() int {
 	if s.max > 0 {
 		return s.max
 	}
-	return defaultBreakerMax
+	return maxBreakers
 }
 
 // get returns the key's breaker, creating (and, past capacity, evicting) as

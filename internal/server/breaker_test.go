@@ -164,8 +164,8 @@ func TestBreakerSetBounded(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		def.get(fmt.Sprintf("d/%d", i))
 	}
-	if got := def.len(); got != defaultBreakerMax {
-		t.Errorf("default-bounded table holds %d entries, want %d", got, defaultBreakerMax)
+	if got := def.len(); got != maxBreakers {
+		t.Errorf("default-bounded table holds %d entries, want %d", got, maxBreakers)
 	}
 }
 

@@ -275,10 +275,9 @@ func TestRetryAfterDerived(t *testing.T) {
 
 // TestCanceledLeaderDoesNotPoisonFollowers pins the shared-computation
 // contract behind sharedContext: the singleflight leader's client hanging up
-// must not cancel the engine run that coalesced followers are waiting on. A
-// hedging gateway cancels its losing request as a matter of course — before
-// this contract, that loser could be a flight's leader, and every innocent
-// follower got its "canceled" 503.
+// must not cancel the engine run that coalesced followers are waiting on.
+// Before this contract, any client that hung up while leading a flight
+// handed every innocent follower its "canceled" 503.
 func TestCanceledLeaderDoesNotPoisonFollowers(t *testing.T) {
 	m := obs.NewRegistry()
 	cat, started, unblock := gatedCatalog()

@@ -74,10 +74,6 @@ type Config struct {
 	// BreakerCooldown is how long a tripped breaker serves its cached
 	// failure before letting one probe through. 0 means 30s.
 	BreakerCooldown time.Duration
-	// BreakerMax bounds the breaker table: past it, least-recently-used
-	// closed idle breakers are evicted (server.breaker_evict), so arbitrary
-	// request keys cannot grow the table without limit. 0 means 1024.
-	BreakerMax int
 	// Cache, when non-nil, serves warm analysis rows content-addressed by
 	// the (operator, instruction) description digest — consulted before
 	// admission, so warm hits and coalesced duplicates never occupy a
@@ -170,7 +166,6 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{cfg: cfg, catalog: catalog, byPair: byPair}
 	s.workers = make(chan struct{}, workerCount(cfg.Jobs))
-	s.breakers.max = cfg.BreakerMax
 	s.breakers.metrics = s.metrics()
 	s.workCtx, s.workStop = context.WithCancel(context.Background())
 	return s
@@ -359,9 +354,9 @@ func (s *Server) requestContext(req *http.Request, explicit time.Duration) (cont
 
 // sharedContext derives the context for a coalescing (singleflight) engine
 // run. The computation is shared: followers who coalesced onto this flight
-// must not lose their answer because the leader's client hung up — a hedging
-// gateway cancels its losing request as a matter of course, and that loser
-// may be the leader of a flight other clients are waiting on. So the
+// must not lose their answer because the leader's client hung up — any
+// client that hangs up (a timeout, a retry, a closed tab) may be leading a
+// flight other clients are waiting on. So the
 // client's cancellation is dropped (request values — trace ID, tracer —
 // carry over) and the run's lifetime is owned by the server: bounded by the
 // request timeout and cut by the drain hard-stop, nothing else.
