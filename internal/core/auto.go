@@ -278,7 +278,7 @@ func (s *Session) autoComplete(ctx context.Context, maxDepth, budget, rung, rung
 					// validated and recorded as usual.
 					trail := st.trail()
 					for _, mv := range trail {
-						if err := s.Apply(mv.side, mv.xform, mv.at, transform.Args{"dir": "down"}); err != nil {
+						if err := s.Apply(mv.side, mv.xform, mv.at, autoArgs); err != nil {
 							return 0, fmt.Errorf("core: auto replay failed at %s: %v", mv.xform, err)
 						}
 					}
@@ -440,40 +440,71 @@ func moveKindsOf(name string) []string {
 	}
 }
 
+// probeMove is a transformation resolved for probing: its registry entry,
+// the node kinds it can apply at and its expression prefilter gate.
+type probeMove struct {
+	name  string
+	tr    *transform.Transformation
+	kinds []string
+	gate  func(isps.Expr) bool
+}
+
+// moveTable is a list of moves resolved against the transformation
+// registry, in order, with the union of the node kinds they target and the
+// names the registry lacks.
+type moveTable struct {
+	moves   []probeMove
+	kinds   map[string]bool
+	missing []string
+}
+
+func resolveMoves(names []string) moveTable {
+	t := moveTable{moves: make([]probeMove, 0, len(names)), kinds: map[string]bool{}}
+	for _, name := range names {
+		tr, err := transform.Get(name)
+		if err != nil {
+			t.missing = append(t.missing, name)
+			continue
+		}
+		kinds := moveKindsOf(name)
+		t.moves = append(t.moves, probeMove{name: name, tr: tr, kinds: kinds, gate: exprGates[name]})
+		for _, k := range kinds {
+			t.kinds[k] = true
+		}
+	}
+	return t
+}
+
+// autoTable is the auto-search's move table. The transformation registry
+// is filled at init and never changes, so it is resolved once per process
+// rather than once per state; the table is read-only after.
+var autoTable = sync.OnceValue(func() moveTable { return resolveMoves(autoMoves) })
+
+// autoArgs are the arguments every auto-search application runs with. No
+// transformation writes its arguments, so one map serves all probes and
+// replays, across workers.
+var autoArgs = transform.Args{"dir": "down"}
+
 // autoCandidates enumerates the applicable moves of a state: it probes each
 // transformation at each node of the matching kind and keeps the applicable
 // ones — with their probe outcomes — in a deterministic order. Probes run
 // inside the same recovery boundary as real applications, so a panic-prone
 // candidate is skipped, not fatal; a move missing from the transformation
-// registry is likewise skipped (counted as auto.skipped), and candidates
-// that would introduce constraints are dropped here rather than re-probed
-// later. The kind-indexed path table is built lazily from the union of
-// kinds the enabled moves actually target.
+// registry is likewise skipped (counted as auto.skipped once per state), and
+// candidates that would introduce constraints are dropped here rather than
+// re-probed later. The kind-indexed path table holds only the kinds the
+// enabled moves target. Refused probes are tallied and flushed to the
+// registry once per state.
 func (s *Session) autoCandidates(op, ins *isps.Description) []autoCand {
-	// Resolve the enabled moves and the node kinds they need, once.
-	type move struct {
-		name  string
-		tr    *transform.Transformation
-		kinds []string
-		gate  func(isps.Expr) bool
+	tbl := autoTable()
+	for _, name := range tbl.missing {
+		// A registry gap degrades the search instead of killing it; the
+		// replay path cannot hit the gap because only probed candidates
+		// are replayed.
+		s.Metrics.Inc("auto.skipped", name)
 	}
-	moves := make([]move, 0, len(autoMoves))
-	wantKind := map[string]bool{}
-	for _, name := range autoMoves {
-		tr, err := transform.Get(name)
-		if err != nil {
-			// A registry gap degrades the search instead of killing it; the
-			// replay path cannot hit the gap because only probed candidates
-			// are replayed.
-			s.Metrics.Inc("auto.skipped", name)
-			continue
-		}
-		kinds := moveKindsOf(name)
-		moves = append(moves, move{name: name, tr: tr, kinds: kinds, gate: exprGates[name]})
-		for _, k := range kinds {
-			wantKind[k] = true
-		}
-	}
+	tally := probeTally{}
+	defer tally.flush(s.Metrics)
 	var out []autoCand
 	for _, side := range []Side{OpSide, InsSide} {
 		d := ins
@@ -486,13 +517,13 @@ func (s *Session) autoCandidates(op, ins *isps.Description) []autoCand {
 		}
 		byKind := map[string][]sited{}
 		isps.Walk(d, func(n isps.Node, p isps.Path) bool {
-			if k := nodeKind(n); k != "" && wantKind[k] {
+			if k := nodeKind(n); k != "" && tbl.kinds[k] {
 				// Walk reuses its path buffer; retained paths must be copied.
 				byKind[k] = append(byKind[k], sited{p: append(isps.Path(nil), p...), n: n})
 			}
 			return true
 		})
-		for _, mv := range moves {
+		for _, mv := range tbl.moves {
 			for _, kind := range mv.kinds {
 				for _, c := range byKind[kind] {
 					if mv.gate != nil {
@@ -503,9 +534,9 @@ func (s *Session) autoCandidates(op, ins *isps.Description) []autoCand {
 							continue
 						}
 					}
-					res, err := safeTransformApply(mv.tr, d, c.p, transform.Args{"dir": "down"})
+					res, err := safeTransformApply(mv.tr, d, c.p, autoArgs)
 					if err != nil {
-						s.noteProbe(mv.name, err)
+						tally.note(mv.name, err)
 						continue
 					}
 					if len(res.Constraints) > 0 {

@@ -170,17 +170,21 @@ const (
 	outcomeError   = "error"
 )
 
-// noteApply records one application attempt's metrics and trace event.
-// detail is the precondition message or error text on failures, the
-// outcome note on success.
-func (s *Session) noteApply(side Side, name string, at isps.Path, dur time.Duration, outcome, detail string) {
-	switch outcome {
-	case outcomeApplied:
+// noteApply records one application attempt's metrics and trace event. A
+// nil err is a success and note its outcome note; otherwise err is a
+// precondition failure or an error, and its message is the event's detail.
+func (s *Session) noteApply(side Side, name string, at isps.Path, dur time.Duration, note string, err error) {
+	outcome := outcomeApplied
+	pe, isPrecond := transform.AsPrecond(err)
+	switch {
+	case err == nil:
 		s.Metrics.Inc("transform.applied", name)
-	case outcomePrecond:
+	case isPrecond:
+		outcome = outcomePrecond
 		s.Metrics.Inc("transform.precond", name)
-		s.Metrics.Inc("transform.precond.reason", truncate(name+": "+detail, 120))
+		s.Metrics.Inc("transform.precond.reason", reasonLabel(name, pe.Format))
 	default:
+		outcome = outcomeError
 		s.Metrics.Inc("transform.error", name)
 	}
 	s.Metrics.Observe("transform.apply.ns", name, uint64(dur))
@@ -192,6 +196,13 @@ func (s *Session) noteApply(side Side, name string, at isps.Path, dur time.Durat
 			"dur_ns":  dur.Nanoseconds(),
 			"outcome": outcome,
 		}
+		detail := note
+		switch {
+		case isPrecond:
+			detail = pe.Msg()
+		case err != nil:
+			detail = err.Error()
+		}
 		if detail != "" {
 			attrs["detail"] = detail
 		}
@@ -199,16 +210,47 @@ func (s *Session) noteApply(side Side, name string, at isps.Path, dur time.Durat
 	}
 }
 
-// noteProbe counts a speculative application attempt (tactics and the
-// auto-search probe before committing a step) that failed: metrics only,
-// no trace event — probes are pruned work, not steps. The pruned/explored
-// ratio is the primary tuning signal for search-shaped analyses.
-func (s *Session) noteProbe(name string, err error) {
+// reasonLabel is the transform.precond.reason label of a refusal: the
+// transformation and the message's format template. The template names the
+// failed precondition without the nodes it failed on, so the label set is
+// bounded by the library, not by the descriptions analyzed; the formatted
+// message stays in the transform.apply trace event.
+func reasonLabel(name, format string) string {
+	return truncate(name+": "+format, 120)
+}
+
+// probeTally counts refused speculative applications (tactics and the
+// auto-search probe candidates before committing a step): metrics only, no
+// trace event — probes are pruned work, not steps. The pruned/explored
+// ratio is the primary tuning signal for search-shaped analyses. Counts
+// accumulate here and reach the registry with one Add per series in flush,
+// instead of two registry updates per refused probe.
+type probeTally map[probeKey]uint64
+
+// probeKey is one series of a tally: format is the refusal's template for
+// transform.precond.reason and empty for the other metrics.
+type probeKey struct {
+	metric, name, format string
+}
+
+// note counts one refused probe of transformation name.
+func (t probeTally) note(name string, err error) {
 	if pe, ok := transform.AsPrecond(err); ok {
-		s.Metrics.Inc("transform.precond", name)
-		s.Metrics.Inc("transform.precond.reason", truncate(name+": "+pe.Msg, 120))
+		t[probeKey{"transform.precond", name, ""}]++
+		t[probeKey{"transform.precond.reason", name, pe.Format}]++
 	} else {
-		s.Metrics.Inc("transform.error", name)
+		t[probeKey{"transform.error", name, ""}]++
+	}
+}
+
+// flush adds the tallied counts to m.
+func (t probeTally) flush(m *obs.Registry) {
+	for k, n := range t {
+		label := k.name
+		if k.format != "" {
+			label = reasonLabel(k.name, k.format)
+		}
+		m.Add(k.metric, label, n)
 	}
 }
 
@@ -271,46 +313,44 @@ func guardApply(tr *transform.Transformation, d *isps.Description, side Side, na
 // leave the session state exactly as it was.
 func (s *Session) Apply(side Side, name string, at isps.Path, args transform.Args) error {
 	if err := s.ctxErr("apply " + name); err != nil {
-		s.noteApply(side, name, at, 0, outcomeError, err.Error())
+		s.noteApply(side, name, at, 0, "", err)
 		return err
 	}
 	tr, err := transform.Get(name)
 	if err != nil {
-		s.noteApply(side, name, at, 0, outcomeError, err.Error())
+		s.noteApply(side, name, at, 0, "", err)
 		return err
 	}
 	if tr.Effect == transform.Augmenting && side == OpSide {
 		err := fmt.Errorf("core: augments produce instruction variants; they cannot apply to the %s description", side)
-		s.noteApply(side, name, at, 0, outcomeError, err.Error())
+		s.noteApply(side, name, at, 0, "", err)
 		return err
 	}
 	start := time.Now()
 	out, err := guardApply(tr, s.Desc(side), side, name, at, args)
 	dur := time.Since(start)
 	if err != nil {
-		if pe, ok := transform.AsPrecond(err); ok {
-			s.noteApply(side, name, at, dur, outcomePrecond, pe.Msg)
-		} else {
+		if !transform.IsPrecond(err) {
 			if cls := fault.Classify(err); cls != "other" {
 				s.Metrics.Inc("fault.recovered", cls)
 			}
-			s.noteApply(side, name, at, dur, outcomeError, err.Error())
 		}
+		s.noteApply(side, name, at, dur, "", err)
 		return err
 	}
 	for _, c := range out.Constraints {
 		if c.Kind == constraint.Predicate && !s.Extended {
 			err := fmt.Errorf("%w (from %s: %s)", ErrComplexConstraint, name, c.Pred)
-			s.noteApply(side, name, at, dur, outcomeError, err.Error())
+			s.noteApply(side, name, at, dur, "", err)
 			return err
 		}
 	}
 	if err := isps.Validate(out.Desc); err != nil {
 		err = fmt.Errorf("core: %s produced an invalid description: %v", name, err)
-		s.noteApply(side, name, at, dur, outcomeError, err.Error())
+		s.noteApply(side, name, at, dur, "", err)
 		return err
 	}
-	s.noteApply(side, name, at, dur, outcomeApplied, out.Note)
+	s.noteApply(side, name, at, dur, out.Note, nil)
 	// Commit the interned tree. Persistent transforms hand back a spine
 	// rebuild over the (already interned) previous state, so interning here
 	// re-freezes only the spine; clone-based transforms pay one full intern

@@ -36,26 +36,15 @@ var reducingTransforms = []string{
 // precondition cannot hold.
 func (s *Session) Normalize(side Side) (int, error) {
 	// Resolve the transforms and their target kinds once.
-	type move struct {
-		name  string
-		tr    *transform.Transformation
-		kinds []string
-		gate  func(isps.Expr) bool
+	tbl := resolveMoves(reducingTransforms)
+	if len(tbl.missing) > 0 {
+		_, err := transform.Get(tbl.missing[0])
+		return 0, err
 	}
-	moves := make([]move, 0, len(reducingTransforms))
-	wantKind := map[string]bool{}
-	for _, name := range reducingTransforms {
-		tr, err := transform.Get(name)
-		if err != nil {
-			return 0, err
-		}
-		kinds := moveKindsOf(name)
-		moves = append(moves, move{name: name, tr: tr, kinds: kinds, gate: exprGates[name]})
-		for _, k := range kinds {
-			wantKind[k] = true
-		}
-	}
-	kindOK := func(mv move, kind string) bool {
+	moves, wantKind := tbl.moves, tbl.kinds
+	tally := probeTally{}
+	defer tally.flush(s.Metrics)
+	kindOK := func(mv probeMove, kind string) bool {
 		for _, k := range mv.kinds {
 			if k == kind {
 				return true
@@ -97,7 +86,7 @@ func (s *Session) Normalize(side Side) (int, error) {
 					}
 				}
 				if _, err := mv.tr.Apply(d, c.p, nil); err != nil {
-					s.noteProbe(mv.name, err)
+					tally.note(mv.name, err)
 					continue
 				}
 				if err := s.Apply(side, mv.name, c.p, nil); err != nil {

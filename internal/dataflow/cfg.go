@@ -15,7 +15,7 @@ type Graph struct {
 	// representing falling off the end of the routine.
 	Entry, Exit int
 
-	funcs  map[string]*isps.FuncDecl
+	desc   *isps.Description
 	byPath map[string]int
 }
 
@@ -43,10 +43,10 @@ type GNode struct {
 	virtual bool
 }
 
-// BuildCFG constructs the control-flow graph of a routine body. funcs
-// provides call-effect summaries (see FuncMap).
-func BuildCFG(body *isps.Block, funcs map[string]*isps.FuncDecl) *Graph {
-	g := &Graph{funcs: funcs, byPath: map[string]int{}}
+// BuildCFG constructs the control-flow graph of a routine body of d; d
+// resolves the callees whose effects calls contribute.
+func BuildCFG(body *isps.Block, d *isps.Description) *Graph {
+	g := &Graph{desc: d, byPath: map[string]int{}}
 	exit := g.newNode(nil, nil)
 	g.Exit = exit.Index
 	g.Entry = g.buildBlock(body, isps.Path{}, exit.Index, nil)
@@ -54,7 +54,7 @@ func BuildCFG(body *isps.Block, funcs map[string]*isps.FuncDecl) *Graph {
 }
 
 func (g *Graph) newNode(stmt isps.Stmt, path isps.Path) *GNode {
-	n := &GNode{Index: len(g.Nodes), Stmt: stmt, Path: path, ExitCont: -1, Cont: -1, Eff: newEffects()}
+	n := &GNode{Index: len(g.Nodes), Stmt: stmt, Path: path, ExitCont: -1, Cont: -1}
 	g.Nodes = append(g.Nodes, n)
 	if path != nil {
 		g.byPath[path.String()] = n.Index
@@ -78,7 +78,7 @@ func (g *Graph) buildStmt(s isps.Stmt, path isps.Path, next int, loopExits []int
 	case *isps.IfStmt:
 		n := g.newNode(s, path)
 		n.Cont = next
-		n.Eff = NodeEffects(st.Cond, g.funcs)
+		n.Eff = NodeEffects(st.Cond, g.desc)
 		thenEntry := g.buildBlock(st.Then, path.Child(1), next, loopExits)
 		elseEntry := g.buildBlock(st.Else, path.Child(2), next, loopExits)
 		n.Succs = []int{thenEntry, elseEntry}
@@ -94,7 +94,7 @@ func (g *Graph) buildStmt(s isps.Stmt, path isps.Path, next int, loopExits []int
 	case *isps.ExitWhenStmt:
 		n := g.newNode(s, path)
 		n.Cont = next
-		n.Eff = NodeEffects(st.Cond, g.funcs)
+		n.Eff = NodeEffects(st.Cond, g.desc)
 		if len(loopExits) == 0 {
 			// Validate rejects this; degrade to a fallthrough.
 			n.Succs = []int{next}
@@ -105,7 +105,7 @@ func (g *Graph) buildStmt(s isps.Stmt, path isps.Path, next int, loopExits []int
 	default:
 		n := g.newNode(s, path)
 		n.Cont = next
-		n.Eff = NodeEffects(s, g.funcs)
+		n.Eff = NodeEffects(s, g.desc)
 		n.Succs = []int{next}
 		return n.Index
 	}
@@ -124,45 +124,37 @@ func (g *Graph) NodeAt(path isps.Path) (*GNode, error) {
 // Liveness holds the result of backward live-variable analysis over a CFG.
 type Liveness struct {
 	g       *Graph
-	liveIn  []map[string]bool
-	liveOut []map[string]bool
+	liveIn  []Set
+	liveOut []Set
 }
 
 // Liveness runs live-variable analysis to a fixpoint.
 func (g *Graph) Liveness() *Liveness {
 	l := &Liveness{
 		g:       g,
-		liveIn:  make([]map[string]bool, len(g.Nodes)),
-		liveOut: make([]map[string]bool, len(g.Nodes)),
-	}
-	for i := range g.Nodes {
-		l.liveIn[i] = map[string]bool{}
-		l.liveOut[i] = map[string]bool{}
+		liveIn:  make([]Set, len(g.Nodes)),
+		liveOut: make([]Set, len(g.Nodes)),
 	}
 	changed := true
 	for changed {
 		changed = false
 		for i := len(g.Nodes) - 1; i >= 0; i-- {
 			n := g.Nodes[i]
-			out := l.liveOut[i]
+			out, in := &l.liveOut[i], &l.liveIn[i]
 			for _, s := range n.Succs {
-				for k := range l.liveIn[s] {
-					if !out[k] {
-						out[k] = true
+				for _, k := range l.liveIn[s] {
+					if out.add(k) {
 						changed = true
 					}
 				}
 			}
-			in := l.liveIn[i]
-			for k := range n.Eff.MayUse {
-				if !in[k] {
-					in[k] = true
+			for _, k := range n.Eff.MayUse {
+				if in.add(k) {
 					changed = true
 				}
 			}
-			for k := range out {
-				if !n.Eff.MustDef[k] && !in[k] {
-					in[k] = true
+			for _, k := range *out {
+				if !n.Eff.MustDef.Has(k) && in.add(k) {
 					changed = true
 				}
 			}
@@ -178,7 +170,7 @@ func (l *Liveness) LiveAfter(path isps.Path, name string) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return l.liveOut[n.Index][name], nil
+	return l.liveOut[n.Index].Has(name), nil
 }
 
 // LiveAtStmtExit reports whether name may be read once the statement at the
@@ -192,7 +184,7 @@ func (l *Liveness) LiveAtStmtExit(path isps.Path, name string) (bool, error) {
 	if n.Cont < 0 {
 		return false, nil
 	}
-	return l.liveIn[n.Cont][name], nil
+	return l.liveIn[n.Cont].Has(name), nil
 }
 
 // LiveAtLoopExit reports whether name may be read once the repeat loop at
@@ -205,5 +197,5 @@ func (l *Liveness) LiveAtLoopExit(loopPath isps.Path, name string) (bool, error)
 	if n.ExitCont < 0 {
 		return false, fmt.Errorf("dataflow: node at %s is not a repeat loop", loopPath)
 	}
-	return l.liveIn[n.ExitCont][name], nil
+	return l.liveIn[n.ExitCont].Has(name), nil
 }

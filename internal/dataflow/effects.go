@@ -6,6 +6,8 @@
 package dataflow
 
 import (
+	"sync"
+
 	"extra/internal/isps"
 )
 
@@ -19,178 +21,202 @@ const MemName = "Mb"
 // reorders them relative to one another.
 const IOName = "·io"
 
+// Set is a set of resource names: registers, operator variables, function
+// return slots and the Mb and ·io pseudo-resources. An effect set holds a
+// handful of names, so it is a slice in first-seen order, searched
+// linearly; building one costs no hashing and no per-node allocation.
+type Set []string
+
+// Has reports whether name is in the set.
+func (s Set) Has(name string) bool {
+	for _, n := range s {
+		if n == name {
+			return true
+		}
+	}
+	return false
+}
+
+// add inserts name and reports whether it was new.
+func (s *Set) add(name string) bool {
+	if s.Has(name) {
+		return false
+	}
+	*s = append(*s, name)
+	return true
+}
+
 // Effects summarizes what a node may read and write.
 //
 // MustDef is the set of names written on every execution path through the
 // node; it is the only set safe to use as a liveness kill set. MayUse and
 // MayDef over-approximate.
 type Effects struct {
-	MayUse  map[string]bool
-	MayDef  map[string]bool
-	MustDef map[string]bool
+	MayUse  Set
+	MayDef  Set
+	MustDef Set
 }
 
-func newEffects() Effects {
-	return Effects{
-		MayUse:  map[string]bool{},
-		MayDef:  map[string]bool{},
-		MustDef: map[string]bool{},
-	}
-}
-
-// Union merges another effect summary into this one and returns it.
-func (e Effects) Union(o Effects) Effects {
-	for k := range o.MayUse {
-		e.MayUse[k] = true
-	}
-	for k := range o.MayDef {
-		e.MayDef[k] = true
-	}
-	for k := range o.MustDef {
-		e.MustDef[k] = true
-	}
-	return e
-}
-
-// seq composes effects of two nodes executed in sequence.
-func (e Effects) seq(o Effects) Effects {
-	return e.Union(o)
-}
-
-// branch composes effects of two alternative nodes: must-defs intersect.
-func branch(a, b Effects) Effects {
-	out := newEffects()
-	for k := range a.MayUse {
-		out.MayUse[k] = true
-	}
-	for k := range b.MayUse {
-		out.MayUse[k] = true
-	}
-	for k := range a.MayDef {
-		out.MayDef[k] = true
-	}
-	for k := range b.MayDef {
-		out.MayDef[k] = true
-	}
-	for k := range a.MustDef {
-		if b.MustDef[k] {
-			out.MustDef[k] = true
+// Conflicts reports a name that keeps the two summarized nodes from being
+// reordered: one that either node may write and the other may read or
+// write. It returns the first such name among e's may-defs, then among
+// o's, and ok false when the two are disjoint.
+func (e Effects) Conflicts(o Effects) (name string, ok bool) {
+	for _, k := range e.MayDef {
+		if o.MayUse.Has(k) || o.MayDef.Has(k) {
+			return k, true
 		}
 	}
-	return out
+	for _, k := range o.MayDef {
+		if e.MayUse.Has(k) || e.MayDef.Has(k) {
+			return k, true
+		}
+	}
+	return "", false
 }
 
-// FuncMap builds the function-name table used for call-effect summaries.
-func FuncMap(d *isps.Description) map[string]*isps.FuncDecl {
-	m := map[string]*isps.FuncDecl{}
-	for _, f := range d.Funcs() {
-		m[f.Name] = f
+// walker accumulates the effects of one walk. Sets grow in place in one
+// accumulator rather than being built per node and merged; a conditional's
+// then-branch must-defs wait on the shared stack while the else-branch is
+// walked, then the two are intersected in place.
+type walker struct {
+	d     *isps.Description
+	e     Effects
+	stack []string
+}
+
+// walkers recycles accumulators, so the boolean queries below (Independent,
+// MayDefine, WritesMemory) allocate nothing once warm.
+var walkers = sync.Pool{New: func() any { return new(walker) }}
+
+// walk returns a pooled accumulator holding n's effects; release it with
+// done once its sets are no longer read.
+func walk(n isps.Node, d *isps.Description) *walker {
+	w := walkers.Get().(*walker)
+	w.d = d
+	w.node(n)
+	return w
+}
+
+func (w *walker) done() {
+	w.d = nil
+	w.e = Effects{MayUse: w.e.MayUse[:0], MayDef: w.e.MayDef[:0], MustDef: w.e.MustDef[:0]}
+	w.stack = w.stack[:0]
+	walkers.Put(w)
+}
+
+func (w *walker) node(n isps.Node) {
+	switch x := n.(type) {
+	case *isps.Ident:
+		w.e.MayUse.add(x.Name)
+	case *isps.Mem:
+		w.node(x.Addr)
+		w.e.MayUse.add(MemName)
+	case *isps.Call:
+		// Function bodies are resolved only here, when a call is reached.
+		if w.d != nil {
+			if f := w.d.Func(x.Name); f != nil {
+				w.node(f.Body)
+			}
+		}
+		// Reading the call's value reads the function's return slot.
+		w.e.MayUse.add(x.Name)
+	case *isps.Un:
+		w.node(x.X)
+	case *isps.Bin:
+		w.node(x.X)
+		w.node(x.Y)
+	case *isps.AssignStmt:
+		w.node(x.RHS)
+		switch lhs := x.LHS.(type) {
+		case *isps.Ident:
+			w.e.MayDef.add(lhs.Name)
+			w.e.MustDef.add(lhs.Name)
+		case *isps.Mem:
+			w.node(lhs.Addr)
+			w.e.MayDef.add(MemName)
+		}
+	case *isps.IfStmt:
+		// The condition is always evaluated, so its definite call side
+		// effects stay definite; the branches' must-defs intersect.
+		w.node(x.Cond)
+		mark := len(w.e.MustDef)
+		w.node(x.Then)
+		base := len(w.stack)
+		w.stack = append(w.stack, w.e.MustDef[mark:]...)
+		w.e.MustDef = w.e.MustDef[:mark]
+		w.node(x.Else)
+		then := Set(w.stack[base:])
+		both := w.e.MustDef[:mark]
+		for _, k := range w.e.MustDef[mark:] {
+			if then.Has(k) {
+				both = append(both, k)
+			}
+		}
+		w.e.MustDef = both
+		w.stack = w.stack[:base]
+	case *isps.RepeatStmt:
+		// A repeat body runs at least once, but an early exit_when can cut
+		// it short, so nothing in it is a definite def.
+		mark := len(w.e.MustDef)
+		w.node(x.Body)
+		w.e.MustDef = w.e.MustDef[:mark]
+	case *isps.ExitWhenStmt:
+		w.node(x.Cond)
+	case *isps.AssertStmt:
+		w.node(x.Cond)
+	case *isps.InputStmt:
+		for _, name := range x.Names {
+			w.e.MayDef.add(name)
+			w.e.MustDef.add(name)
+		}
+		w.e.MayDef.add(IOName)
+	case *isps.OutputStmt:
+		for _, ex := range x.Exprs {
+			w.node(ex)
+		}
+		w.e.MayDef.add(IOName)
+	case *isps.Block:
+		for _, s := range x.Stmts {
+			w.node(s)
+		}
 	}
-	return m
 }
 
 // NodeEffects computes the effect summary of any statement, block or
-// expression. Function calls contribute the callee's effects plus a use of
-// the callee's own name (its return slot).
-func NodeEffects(n isps.Node, funcs map[string]*isps.FuncDecl) Effects {
-	switch x := n.(type) {
-	case *isps.Ident:
-		e := newEffects()
-		e.MayUse[x.Name] = true
-		return e
-	case *isps.Num:
-		return newEffects()
-	case *isps.Mem:
-		e := NodeEffects(x.Addr, funcs)
-		e.MayUse[MemName] = true
-		return e
-	case *isps.Call:
-		e := newEffects()
-		if f, ok := funcs[x.Name]; ok {
-			e = e.Union(NodeEffects(f.Body, funcs))
-		}
-		// Reading the call's value reads the function's return slot.
-		e.MayUse[x.Name] = true
-		return e
-	case *isps.Un:
-		return NodeEffects(x.X, funcs)
-	case *isps.Bin:
-		return NodeEffects(x.X, funcs).seq(NodeEffects(x.Y, funcs))
-	case *isps.AssignStmt:
-		e := NodeEffects(x.RHS, funcs)
-		switch lhs := x.LHS.(type) {
-		case *isps.Ident:
-			e.MayDef[lhs.Name] = true
-			e.MustDef[lhs.Name] = true
-		case *isps.Mem:
-			e = e.seq(NodeEffects(lhs.Addr, funcs))
-			e.MayDef[MemName] = true
-		}
-		return e
-	case *isps.IfStmt:
-		cond := NodeEffects(x.Cond, funcs)
-		// The condition is always evaluated, so its definite call side
-		// effects stay definite.
-		return cond.seq(branch(NodeEffects(x.Then, funcs), NodeEffects(x.Else, funcs)))
-	case *isps.RepeatStmt:
-		e := NodeEffects(x.Body, funcs)
-		// A repeat body runs at least once, but an early exit_when can cut
-		// it short, so nothing in it is a definite def.
-		e.MustDef = map[string]bool{}
-		return e
-	case *isps.ExitWhenStmt:
-		return NodeEffects(x.Cond, funcs)
-	case *isps.AssertStmt:
-		return NodeEffects(x.Cond, funcs)
-	case *isps.InputStmt:
-		e := newEffects()
-		for _, name := range x.Names {
-			e.MayDef[name] = true
-			e.MustDef[name] = true
-		}
-		e.MayDef[IOName] = true
-		return e
-	case *isps.OutputStmt:
-		e := newEffects()
-		for _, ex := range x.Exprs {
-			e = e.seq(NodeEffects(ex, funcs))
-		}
-		e.MayDef[IOName] = true
-		return e
-	case *isps.Block:
-		e := newEffects()
-		for _, s := range x.Stmts {
-			e = e.seq(NodeEffects(s, funcs))
-		}
-		return e
+// expression of d. Function calls contribute the callee's effects plus a
+// use of the callee's own name (its return slot); a nil d resolves no
+// callee. The three sets share one exactly-sized allocation.
+func NodeEffects(n isps.Node, d *isps.Description) Effects {
+	w := walk(n, d)
+	defer w.done()
+	nu, nd := len(w.e.MayUse), len(w.e.MayDef)
+	all := make([]string, 0, nu+nd+len(w.e.MustDef))
+	all = append(append(append(all, w.e.MayUse...), w.e.MayDef...), w.e.MustDef...)
+	return Effects{
+		MayUse:  all[:nu:nu],
+		MayDef:  all[nu : nu+nd : nu+nd],
+		MustDef: all[nu+nd:],
 	}
-	return newEffects()
 }
 
-// Independent reports whether two statements may be reordered: neither may
-// write anything the other reads or writes, and neither transfers control
-// (exit_when). Memory and the i/o streams are modeled as pseudo-resources,
-// so two Mb writes, or an Mb write and an Mb read, are never independent.
-func Independent(a, b isps.Stmt, funcs map[string]*isps.FuncDecl) bool {
+// Independent reports whether two statements of d may be reordered:
+// neither may write anything the other reads or writes, and neither
+// transfers control (exit_when). Memory and the i/o streams are modeled as
+// pseudo-resources, so two Mb writes, or an Mb write and an Mb read, are
+// never independent.
+func Independent(a, b isps.Stmt, d *isps.Description) bool {
 	if _, ok := a.(*isps.ExitWhenStmt); ok {
 		return false
 	}
 	if _, ok := b.(*isps.ExitWhenStmt); ok {
 		return false
 	}
-	ea := NodeEffects(a, funcs)
-	eb := NodeEffects(b, funcs)
-	for k := range ea.MayDef {
-		if eb.MayUse[k] || eb.MayDef[k] {
-			return false
-		}
-	}
-	for k := range eb.MayDef {
-		if ea.MayUse[k] || ea.MayDef[k] {
-			return false
-		}
-	}
-	return true
+	wa, wb := walk(a, d), walk(b, d)
+	_, clash := wa.e.Conflicts(wb.e)
+	wa.done()
+	wb.done()
+	return !clash
 }
 
 // UsesName reports whether name occurs as an identifier or call under n,
@@ -219,9 +245,11 @@ func UsesName(n isps.Node, name string) bool {
 	return found
 }
 
-// MayDefine reports whether executing n can write name.
-func MayDefine(n isps.Node, name string, funcs map[string]*isps.FuncDecl) bool {
-	return NodeEffects(n, funcs).MayDef[name]
+// MayDefine reports whether executing n, a node of d, can write name.
+func MayDefine(n isps.Node, name string, d *isps.Description) bool {
+	w := walk(n, d)
+	defer w.done()
+	return w.e.MayDef.Has(name)
 }
 
 // HasCalls reports whether any function call occurs under n.
@@ -258,7 +286,7 @@ func ReadsMemory(n isps.Node) bool {
 	return found
 }
 
-// WritesMemory reports whether n contains an Mb write.
-func WritesMemory(n isps.Node, funcs map[string]*isps.FuncDecl) bool {
-	return NodeEffects(n, funcs).MayDef[MemName]
+// WritesMemory reports whether n, a node of d, contains an Mb write.
+func WritesMemory(n isps.Node, d *isps.Description) bool {
+	return MayDefine(n, MemName, d)
 }

@@ -139,14 +139,13 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			funcs := dataflow.FuncMap(c)
 			for i := defIdx + 1; i < len(body.Stmts); i++ {
-				if dataflow.MayDefine(body.Stmts[i], w.Name, funcs) {
+				if dataflow.MayDefine(body.Stmts[i], w.Name, c) {
 					return nil, errPrecond("global.copy.prop", "%s is written after the copy; v and w diverge", w.Name)
 				}
 			}
 			for _, f := range c.Funcs() {
-				if dataflow.MayDefine(f.Body, w.Name, funcs) {
+				if dataflow.MayDefine(f.Body, w.Name, c) {
 					return nil, errPrecond("global.copy.prop", "function %s writes %s", f.Name, w.Name)
 				}
 			}

@@ -80,17 +80,17 @@ func exitBranch(d *isps.Description, sh *loopShape, e2 int, postIf *isps.IfStmt)
 	if len(sh.exitIdxs) != 2 || sh.exitIdxs[0] != 0 || sh.exitIdxs[1] != e2 {
 		return 0, fmt.Errorf("loop must have exactly two top-level exits, the first at the top (have %v, e2=%d)", sh.exitIdxs, e2)
 	}
-	funcs := dataflow.FuncMap(d)
 	e1cond := sh.body.Stmts[0].(*isps.ExitWhenStmt).Cond
 	e2cond := sh.body.Stmts[e2].(*isps.ExitWhenStmt).Cond
 
 	// Recognizer 1: post-loop condition is the first exit's condition.
 	if isps.Equal(postIf.Cond, e1cond) {
-		vars := dataflow.NodeEffects(e1cond, funcs).MayUse
-		seg := &isps.Block{Stmts: sh.body.Stmts[1:e2]}
-		eff := dataflow.NodeEffects(seg, funcs).Union(dataflow.NodeEffects(e2cond, funcs))
-		for v := range vars {
-			if eff.MayDef[v] {
+		vars := dataflow.NodeEffects(e1cond, d).MayUse
+		// The statements between the exits, the second exit's test included.
+		seg := &isps.Block{Stmts: sh.body.Stmts[1 : e2+1]}
+		eff := dataflow.NodeEffects(seg, d)
+		for _, v := range vars {
+			if eff.MayDef.Has(v) {
 				return 0, fmt.Errorf("variable %s of the first exit's condition is written before exit %d", v, e2)
 			}
 		}
@@ -117,7 +117,6 @@ func exitBranch(d *isps.Description, sh *loopShape, e2 int, postIf *isps.IfStmt)
 // conditional immediately before e2 (one arm 1, the other 0), and written
 // nowhere else in the loop.
 func checkWitnessFlag(d *isps.Description, sh *loopShape, e2 int, flag string) error {
-	funcs := dataflow.FuncMap(d)
 	if e2 == 0 {
 		return fmt.Errorf("witness exit cannot be the loop's first statement")
 	}
@@ -150,7 +149,7 @@ func checkWitnessFlag(d *isps.Description, sh *loopShape, e2 int, flag string) e
 				break
 			}
 		}
-		if dataflow.MayDefine(sh.blk.Stmts[i], flag, funcs) {
+		if dataflow.MayDefine(sh.blk.Stmts[i], flag, d) {
 			break
 		}
 	}
@@ -158,7 +157,7 @@ func checkWitnessFlag(d *isps.Description, sh *loopShape, e2 int, flag string) e
 		return fmt.Errorf("witness flag %s is not initialized to 0 before the loop", flag)
 	}
 	for i := init + 1; i < sh.idx; i++ {
-		if dataflow.MayDefine(sh.blk.Stmts[i], flag, funcs) {
+		if dataflow.MayDefine(sh.blk.Stmts[i], flag, d) {
 			return fmt.Errorf("witness flag %s is modified between its initialization and the loop", flag)
 		}
 	}
@@ -239,17 +238,17 @@ func init() {
 			if !ok {
 				return nil, errPrecond("loop.exit.witness", "statement after the loop is not a conditional")
 			}
-			funcs := dataflow.FuncMap(c)
 			e1cond := sh.body.Stmts[0].(*isps.ExitWhenStmt).Cond
 			if !isps.Equal(postIf.Cond, e1cond) {
 				return nil, errPrecond("loop.exit.witness", "post-loop conditional %s does not test the first exit's condition %s",
-					isps.ExprString(postIf.Cond), isps.ExprString(e1cond))
+					exprText{postIf.Cond}, exprText{e1cond})
 			}
-			condVars := dataflow.NodeEffects(e1cond, funcs).MayUse
-			seg := &isps.Block{Stmts: sh.body.Stmts[1:e2]}
-			segEff := dataflow.NodeEffects(seg, funcs).Union(dataflow.NodeEffects(ex.Cond, funcs))
-			for v := range condVars {
-				if segEff.MayDef[v] {
+			condVars := dataflow.NodeEffects(e1cond, c).MayUse
+			// The statements between the exits, this exit's test included.
+			seg := &isps.Block{Stmts: sh.body.Stmts[1 : e2+1]}
+			segEff := dataflow.NodeEffects(seg, c)
+			for _, v := range condVars {
+				if segEff.MayDef.Has(v) {
 					return nil, errPrecond("loop.exit.witness", "%s (used by the first exit's condition) is written between the exits", v)
 				}
 			}
@@ -367,7 +366,7 @@ func init() {
 				return nil, errPrecond("loop.delete.dead", "loop does not start with an exit_when")
 			}
 			if !exitsOnEntry(ex.Cond, blk, idx) {
-				return nil, errPrecond("loop.delete.dead", "cannot show the first exit fires on loop entry (condition %s)", isps.ExprString(ex.Cond))
+				return nil, errPrecond("loop.delete.dead", "cannot show the first exit fires on loop entry (condition %s)", exprText{ex.Cond})
 			}
 			nd, err := d.SpliceAtDesc(parentPath, idx, 1)
 			if err != nil {

@@ -158,7 +158,6 @@ func applyCountdownIntro(d *isps.Description, at isps.Path, args Args) (*Outcome
 	if err != nil {
 		return nil, err
 	}
-	funcs := dataflow.FuncMap(c)
 	isLimitTest := func(e isps.Expr) bool {
 		b, ok := e.(*isps.Bin)
 		if !ok || b.Op != isps.OpEq {
@@ -181,7 +180,7 @@ func applyCountdownIntro(d *isps.Description, at isps.Path, args Args) (*Outcome
 		return nil, errPrecond(name, "no exit tests %s = %s", iName, nName)
 	}
 	// n must be loop-invariant; i stepped exactly once by +1.
-	if dataflow.MayDefine(sh.body, nName, funcs) {
+	if dataflow.MayDefine(sh.body, nName, c) {
 		return nil, errPrecond(name, "%s is written inside the loop", nName)
 	}
 	stepIdx := -1
@@ -191,7 +190,7 @@ func applyCountdownIntro(d *isps.Description, at isps.Path, args Args) (*Outcome
 				return nil, errPrecond(name, "%s must be stepped exactly once by +1", iName)
 			}
 			stepIdx = i
-		} else if dataflow.MayDefine(s, iName, funcs) {
+		} else if dataflow.MayDefine(s, iName, c) {
 			return nil, errPrecond(name, "%s has a non-step definition in the loop", iName)
 		}
 	}
@@ -210,7 +209,7 @@ func applyCountdownIntro(d *isps.Description, at isps.Path, args Args) (*Outcome
 				break
 			}
 		}
-		if dataflow.MayDefine(s, iName, funcs) || dataflow.MayDefine(s, nName, funcs) {
+		if dataflow.MayDefine(s, iName, c) || dataflow.MayDefine(s, nName, c) {
 			return nil, errPrecond(name, "%s or %s modified between initialization and loop", iName, nName)
 		}
 	}
@@ -218,7 +217,7 @@ func applyCountdownIntro(d *isps.Description, at isps.Path, args Args) (*Outcome
 		return nil, errPrecond(name, "%s is not initialized to 0 before the loop", iName)
 	}
 	for i := init + 1; i < sh.idx; i++ {
-		if dataflow.MayDefine(sh.blk.Stmts[i], nName, funcs) {
+		if dataflow.MayDefine(sh.blk.Stmts[i], nName, c) {
 			return nil, errPrecond(name, "%s modified between %s's initialization and the loop", nName, iName)
 		}
 	}
@@ -301,7 +300,6 @@ func applyInductionIndex(d *isps.Description, at isps.Path, args Args) (*Outcome
 	if err != nil {
 		return nil, err
 	}
-	funcs := dataflow.FuncMap(c)
 	// The loop must contain the only non-input definition of p in the
 	// routine, and it must be a single top-level `p <- p + 1`.
 	stepIdx := -1
@@ -311,7 +309,7 @@ func applyInductionIndex(d *isps.Description, at isps.Path, args Args) (*Outcome
 				return nil, errPrecond(name, "%s must be stepped exactly once by +1", pName)
 			}
 			stepIdx = i
-		} else if dataflow.MayDefine(s, pName, funcs) {
+		} else if dataflow.MayDefine(s, pName, c) {
 			return nil, errPrecond(name, "%s has a non-step definition inside the loop", pName)
 		}
 	}
@@ -337,7 +335,7 @@ func applyInductionIndex(d *isps.Description, at isps.Path, args Args) (*Outcome
 	}
 	// Functions must not touch p either (inline calls first).
 	for _, f := range c.Funcs() {
-		if dataflow.MayDefine(f.Body, pName, funcs) {
+		if dataflow.MayDefine(f.Body, pName, c) {
 			return nil, errPrecond(name, "function %s writes %s; inline it first", f.Name, pName)
 		}
 	}
@@ -393,7 +391,6 @@ func applyInductionMerge(d *isps.Description, at isps.Path, args Args) (*Outcome
 	if err != nil {
 		return nil, err
 	}
-	funcs := dataflow.FuncMap(c)
 	for _, in := range c.Inputs() {
 		if in == drop {
 			return nil, errPrecond(name, "%s is an input operand and cannot be merged away", drop)
@@ -407,7 +404,7 @@ func applyInductionMerge(d *isps.Description, at isps.Path, args Args) (*Outcome
 					return -1, 0, fmt.Errorf("%s stepped more than once", v)
 				}
 				idx, step = i, st
-			} else if dataflow.MayDefine(s, v, funcs) {
+			} else if dataflow.MayDefine(s, v, c) {
 				return -1, 0, fmt.Errorf("%s has a non-step definition in the loop", v)
 			}
 		}
@@ -443,7 +440,7 @@ func applyInductionMerge(d *isps.Description, at isps.Path, args Args) (*Outcome
 					return -1, 0, fmt.Errorf("%s initialized to a non-constant", v)
 				}
 			}
-			if dataflow.MayDefine(s, v, funcs) {
+			if dataflow.MayDefine(s, v, c) {
 				return -1, 0, fmt.Errorf("%s modified before the loop without a plain initialization", v)
 			}
 		}
@@ -526,7 +523,7 @@ func applyRotateGuarded(d *isps.Description, at isps.Path, args Args) (*Outcome,
 	}
 	if !negEquiv(ifs.Cond, last.Cond) {
 		return nil, errPrecond(name, "exit condition %s is not the negation of the guard %s",
-			isps.ExprString(last.Cond), isps.ExprString(ifs.Cond))
+			exprText{last.Cond}, exprText{ifs.Cond})
 	}
 	if !pureExpr(ifs.Cond) || !pureExpr(last.Cond) {
 		return nil, errPrecond(name, "guard or exit condition has side effects")
@@ -556,7 +553,6 @@ func applyDoWhileCount(d *isps.Description, at isps.Path, args Args) (*Outcome, 
 	if err != nil {
 		return nil, err
 	}
-	funcs := dataflow.FuncMap(c)
 	nb := len(sh.body.Stmts)
 	if nb < 2 {
 		return nil, errPrecond(name, "loop body too short")
@@ -576,8 +572,8 @@ func applyDoWhileCount(d *isps.Description, at isps.Path, args Args) (*Outcome, 
 		return nil, errPrecond(name, "the bottom count test is not the loop's last exit")
 	}
 	prefix := &isps.Block{Stmts: sh.body.Stmts[:nb-2]}
-	eff := dataflow.NodeEffects(prefix, funcs)
-	if eff.MayUse[kName] || eff.MayDef[kName] || eff.MayUse[nName] || eff.MayDef[nName] {
+	eff := dataflow.NodeEffects(prefix, c)
+	if eff.MayUse.Has(kName) || eff.MayDef.Has(kName) || eff.MayUse.Has(nName) || eff.MayDef.Has(nName) {
 		return nil, errPrecond(name, "loop prefix touches %s or %s", kName, nName)
 	}
 	// The preceding statement must be k <- n - 1.
@@ -698,7 +694,7 @@ func applyReverseCopy(d *isps.Description, at isps.Path, args Args) (*Outcome, e
 	if err != nil {
 		return nil, err
 	}
-	g := dataflow.BuildCFG(body, dataflow.FuncMap(c))
+	g := dataflow.BuildCFG(body, c)
 	live := g.Liveness()
 	for _, v := range []string{srcName, dstName} {
 		isLive, lerr := live.LiveAtStmtExit(rel, v)

@@ -22,9 +22,9 @@ func init() {
 				return nil, errPrecond("move.swap", "statement at %s has no successor", at)
 			}
 			a, b := blk.Stmts[idx], blk.Stmts[idx+1]
-			if !dataflow.Independent(a, b, dataflow.FuncMap(d)) {
+			if !dataflow.Independent(a, b, d) {
 				return nil, errPrecond("move.swap", "statements %q and %q are not independent",
-					isps.StmtString(a), isps.StmtString(b))
+					stmtText{a}, stmtText{b})
 			}
 			nd, err := d.SpliceAtDesc(parentPath, idx, 2, b, a)
 			if err != nil {
@@ -207,17 +207,12 @@ func init() {
 			if _, isExit := s.(*isps.ExitWhenStmt); isExit {
 				return nil, errPrecond("move.dup.into.if", "cannot move an exit_when")
 			}
-			eff := dataflow.NodeEffects(s, dataflow.FuncMap(c))
-			condEff := dataflow.NodeEffects(ifs.Cond, dataflow.FuncMap(c))
-			for k := range eff.MayDef {
-				if condEff.MayUse[k] || condEff.MayDef[k] {
+			eff := dataflow.NodeEffects(s, c)
+			if k, clash := eff.Conflicts(dataflow.NodeEffects(ifs.Cond, c)); clash {
+				if eff.MayDef.Has(k) {
 					return nil, errPrecond("move.dup.into.if", "statement writes %s, which the condition touches", k)
 				}
-			}
-			for k := range condEff.MayDef {
-				if eff.MayUse[k] || eff.MayDef[k] {
-					return nil, errPrecond("move.dup.into.if", "condition writes %s, which the statement touches", k)
-				}
+				return nil, errPrecond("move.dup.into.if", "condition writes %s, which the statement touches", k)
 			}
 			ifs.Then.Stmts = append([]isps.Stmt{s.Clone().(isps.Stmt)}, ifs.Then.Stmts...)
 			ifs.Else.Stmts = append([]isps.Stmt{s.Clone().(isps.Stmt)}, ifs.Else.Stmts...)

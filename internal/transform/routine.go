@@ -132,11 +132,10 @@ func init() {
 				return nil, errPrecond(name, "function %s assigns its value %d times, want 1", f.Name, retAssigns)
 			}
 			// Nothing evaluated before the call may be written by the callee.
-			funcs := dataflow.FuncMap(c)
 			pre := readsBeforeCall(stmt, relPath)
-			calleeEff := dataflow.NodeEffects(f.Body, funcs)
+			calleeEff := dataflow.NodeEffects(f.Body, c)
 			for r := range pre {
-				if calleeEff.MayDef[r] {
+				if calleeEff.MayDef.Has(r) {
 					return nil, errPrecond(name, "%s is read before the call and written by %s()", r, f.Name)
 				}
 			}

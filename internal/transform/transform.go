@@ -229,31 +229,64 @@ func ByCategory(c Category) []*Transformation {
 type PrecondError struct {
 	// Xform is the transformation whose precondition failed.
 	Xform string
-	// Msg is the formatted precondition message.
-	Msg string
+	// Format is the message's format template. It names the failed
+	// precondition without the nodes and names it failed on, so it labels
+	// rejections with a bounded set of values.
+	Format string
+	args   []any
+}
+
+// Msg formats the precondition message. Formatting is deferred to here:
+// the auto-search refuses hundreds of probes per state and reads none of
+// their messages.
+func (e *PrecondError) Msg() string {
+	return fmt.Sprintf(e.Format, e.args...)
 }
 
 func (e *PrecondError) Error() string {
-	return fmt.Sprintf("transform %s: %s", e.Xform, e.Msg)
+	return "transform " + e.Xform + ": " + e.Msg()
 }
 
 // IsPrecond reports whether err is (or wraps) a precondition failure.
 func IsPrecond(err error) bool {
-	var pe *PrecondError
-	return errors.As(err, &pe)
+	_, ok := AsPrecond(err)
+	return ok
 }
 
-// AsPrecond extracts the precondition failure from err, if any.
+// AsPrecond extracts the precondition failure from err, if any. An
+// unwrapped *PrecondError, what every refused application returns, is
+// matched without the reflection errors.As needs.
 func AsPrecond(err error) (*PrecondError, bool) {
+	if pe, ok := err.(*PrecondError); ok {
+		return pe, true
+	}
 	var pe *PrecondError
 	ok := errors.As(err, &pe)
 	return pe, ok
 }
 
-// errPrecond formats a precondition failure.
+// errPrecond builds a precondition failure whose message is formatted
+// when read. Arguments must not change after the call: nodes come from the
+// immutable input or from a working copy the failed application discards,
+// and a path, the one mutable argument kind, is copied here.
 func errPrecond(name, format string, args ...any) error {
-	return &PrecondError{Xform: name, Msg: fmt.Sprintf(format, args...)}
+	for i, a := range args {
+		if p, ok := a.(isps.Path); ok {
+			args[i] = append(isps.Path(nil), p...)
+		}
+	}
+	return &PrecondError{Xform: name, Format: format, args: args}
 }
+
+// exprText and stmtText print a node when a precondition message is read,
+// so a refused probe never runs the printer.
+type exprText struct{ e isps.Expr }
+
+func (t exprText) String() string { return isps.ExprString(t.e) }
+
+type stmtText struct{ s isps.Stmt }
+
+func (t stmtText) String() string { return isps.StmtString(t.s) }
 
 // routineBody returns the path of the routine's body block and the block.
 func routineBody(d *isps.Description) (isps.Path, *isps.Block, error) {
@@ -466,7 +499,7 @@ func liveAtLoopExit(d *isps.Description, loopAt isps.Path, name string) (bool, e
 	if err != nil {
 		return true, err
 	}
-	g := dataflow.BuildCFG(body, dataflow.FuncMap(d))
+	g := dataflow.BuildCFG(body, d)
 	return g.Liveness().LiveAtLoopExit(rel, name)
 }
 
@@ -481,6 +514,6 @@ func liveAfterStmt(d *isps.Description, stmtAt isps.Path, name string) (bool, er
 	if err != nil {
 		return true, err
 	}
-	g := dataflow.BuildCFG(body, dataflow.FuncMap(d))
+	g := dataflow.BuildCFG(body, d)
 	return g.Liveness().LiveAfter(rel, name)
 }
